@@ -5,7 +5,7 @@ GO ?= go
 
 .PHONY: all build test race vet lint lint-cold lint-warm lint-timing \
 	fmt-check check clean \
-	bench bench-json bench-ratchet experiments-quick \
+	bench bench-json bench-ratchet bench-e2e experiments-quick \
 	experiments-expectations experiments-train fuzz-smoke crash-recovery \
 	fleet-soak fault-soak crash-soak-fleet
 
@@ -108,6 +108,18 @@ bench-ratchet:
 		-benchtime=$(BENCH_CKPT_ITERS)x ./internal/modelstore/ ; } | \
 		$(GO) run ./cmd/benchjson -out BENCH_ratchet.json -compare BENCH_baseline.json
 
+## bench-e2e: smoke-run the end-to-end load rig (bench/, the repo's
+## benchmark): build cmd/behaviotd, launch it as a -fleet child, pace
+## all three workloads at it at smoke size for 2 s each and check every
+## event-log and feed line against the in-process reference. Exit code
+## is the rig's own (0 valid run, 1 invalid run or failed check, 2
+## usage); the full result lands in .bench_build/bench-e2e.json for CI
+## to archive. It proves the rig and the daemon still fit together — the
+## numbers from a 2 s smoke on a shared runner are not measurements;
+## see bench/README.md for how to take those.
+bench-e2e:
+	$(GO) run ./bench --quick --seconds 2 --out .bench_build/bench-e2e.json
+
 ## experiments-quick: regenerate every table and figure at reduced scale
 ## with deterministic stdout (timings go to stderr; the recipe is
 ## silenced so `make experiments-quick > out.txt` captures only the
@@ -142,7 +154,11 @@ fuzz-smoke:
 		$(GO) test -run '^$$' -fuzz="^$$t$$" -fuzztime=$(FUZZTIME) ./internal/netparse/; \
 	done; \
 	echo "fuzzing FuzzPcapReader ($(FUZZTIME))"; \
-	$(GO) test -run '^$$' -fuzz='^FuzzPcapReader$$' -fuzztime=$(FUZZTIME) ./internal/pcapio/
+	$(GO) test -run '^$$' -fuzz='^FuzzPcapReader$$' -fuzztime=$(FUZZTIME) ./internal/pcapio/; \
+	echo "fuzzing FuzzScalarsMatchEncodingJSON ($(FUZZTIME))"; \
+	$(GO) test -run '^$$' -fuzz='^FuzzScalarsMatchEncodingJSON$$' -fuzztime=$(FUZZTIME) ./internal/jsonenc/; \
+	echo "fuzzing FuzzEventLogLineMatchesEncodingJSON ($(FUZZTIME))"; \
+	$(GO) test -run '^$$' -fuzz='^FuzzEventLogLineMatchesEncodingJSON$$' -fuzztime=$(FUZZTIME) ./internal/fleet/
 
 ## crash-recovery: kill behaviotd mid-write with SIGKILL, restart with
 ## -resume, and require the resumed run's event log and final snapshots

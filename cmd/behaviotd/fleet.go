@@ -37,7 +37,6 @@ type fleetOptions struct {
 	sim       bool
 	idle      string
 	devices   string
-	queueLen  int
 	maxSkew   time.Duration
 	store     string
 	ckptIvl   time.Duration
@@ -49,9 +48,9 @@ type fleetOptions struct {
 // runFleet is the multi-tenant entry point: train (or load) one
 // pipeline, stand up the tenant-sharded fleet daemon, accept ingest
 // sources over unix sockets and TCP, and serve the REST control plane.
-// SIGTERM/SIGINT sever ingest sources, drain every tenant's queue into
-// its monitor, land final checkpoints, and exit 0 — the clean drain the
-// fleet-soak CI gate asserts.
+// SIGTERM/SIGINT sever ingest sources (each finishes the batch it is
+// ingesting), finalize every tenant's monitor, land final checkpoints,
+// and exit 0 — the clean drain the fleet-soak CI gate asserts.
 func runFleet(opts fleetOptions) int {
 	if opts.unix == "" && opts.tcp == "" {
 		fmt.Fprintln(os.Stderr, "behaviotd: fleet mode needs at least one ingest listener (-fleet-unix or -fleet-tcp); see -h")
@@ -78,10 +77,8 @@ func runFleet(opts fleetOptions) int {
 		ckptIvl = 0
 	}
 	d, err := fleet.New(fleet.Config{
-		Shards:    opts.shards,
-		QueueLen:  opts.queueLen,
-		FeedBatch: feedBatch,
-		PipeSnap:  pipeSnap,
+		Shards:   opts.shards,
+		PipeSnap: pipeSnap,
 		// Same fingerprint rules as single-tenant mode: models are tied
 		// to their training inputs; tenancy lives in store paths only.
 		Fingerprint:        fingerprint,

@@ -161,7 +161,7 @@ func run() int {
 		devsP     = flag.String("devices", "", "device manifest CSV")
 		replayP   = flag.String("replay", "", "capture to monitor (pcap)")
 		tolerant  = flag.Bool("tolerant", false, "degrade gracefully on damaged captures: resync past corrupt pcap records, count malformed frames per class instead of aborting")
-		queueLen  = flag.Int("queue", 0, "bounded feed queue length between capture producer and monitor (0 = feed directly); overflow is counted, not blocking")
+		queueLen  = flag.Int("queue", 0, "bounded feed queue length between capture producer and monitor (0 = feed directly); overflow is counted, not blocking. Accepted and ignored under -fleet, where each ingest connection feeds its tenant's monitor directly")
 		maxSkew   = flag.Duration("maxskew", 0, "drop packets whose timestamp lags stream time by more than this (0 = accept any lag)")
 		impairS   = flag.String("impair", "", "impair the -sim feed through internal/chaos, e.g. drop=0.01,corrupt=0.01,skew=50ms (requires -sim)")
 		storeP    = flag.String("store", "", "model store directory for crash-safe checkpoints (empty = no checkpointing)")
@@ -172,7 +172,7 @@ func run() int {
 		resumeF   = flag.Bool("resume", false, "resume from the newest intact -store snapshot: skip training, restore streaming state, fast-forward the feed cursor")
 		eventLog  = flag.String("eventlog", "", "append one JSON line per user event and deviation to this file (truncated to the last checkpoint on -resume)")
 
-		fleetMode    = flag.Bool("fleet", false, "multi-tenant mode: host many homes behind one daemon, ingesting over -fleet-unix/-fleet-tcp sockets (shares -listen, -queue, -maxskew, -store, -checkpoint-interval, -resume, and the -sim or -idle/-devices training inputs)")
+		fleetMode    = flag.Bool("fleet", false, "multi-tenant mode: host many homes behind one daemon, ingesting over -fleet-unix/-fleet-tcp sockets (shares -listen, -maxskew, -store, -checkpoint-interval, -resume, and the -sim or -idle/-devices training inputs)")
 		fleetShards  = flag.Int("fleet-shards", 0, "fleet serialization shards / worker count (0 = GOMAXPROCS)")
 		fleetUnix    = flag.String("fleet-unix", "", "comma-separated unix socket paths accepting fleet ingest connections")
 		fleetTCP     = flag.String("fleet-tcp", "", "TCP address accepting fleet ingest connections")
@@ -207,7 +207,6 @@ func run() int {
 			sim:       *sim,
 			idle:      *idleP,
 			devices:   *devsP,
-			queueLen:  *queueLen,
 			maxSkew:   *maxSkew,
 			store:     *storeP,
 			ckptIvl:   *ckptIvl,

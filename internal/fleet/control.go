@@ -55,16 +55,14 @@ func (d *Daemon) handleListTenants(w http.ResponseWriter, r *http.Request) {
 	tenants := d.List()
 	out := make([]map[string]any, 0, len(tenants))
 	for _, t := range tenants {
-		t.shardMu.Lock()
-		st := t.monitor.Stats()
-		t.shardMu.Unlock()
+		st := t.stats()
 		out = append(out, map[string]any{
 			"id":               t.ID,
 			"shard":            t.Shard,
 			"packets":          st.Packets,
 			"deviations":       st.Deviations,
 			"received_records": t.received.Load(),
-			"queue_depth":      t.queue.Depth(),
+			"queue_depth":      0, // nothing is ever queued; kept for readers that wait on it (bench/)
 		})
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -153,7 +151,7 @@ func (d *Daemon) handleRestartTenant(w http.ResponseWriter, r *http.Request) {
 // 200 otherwise — degraded tenants keep monitoring while checkpoint
 // retries back off, so they do not fail the probe.
 func (d *Daemon) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	degraded, quarantined := d.healthCounts()
+	degraded, quarantined := healthCounts(d.List())
 	status := "ok"
 	if degraded > 0 || quarantined > 0 {
 		status = "degraded"
@@ -199,26 +197,16 @@ func (d *Daemon) handleTenantEvents(w http.ResponseWriter, r *http.Request) {
 
 // handleMetrics renders Prometheus text exposition with one series per
 // tenant per counter, labeled tenant="<id>". Tenants are emitted in
-// sorted-ID order so the output is deterministic. Per-tenant queue
-// shed/backpressure series are the point: one noisy home's drops are
-// visible on its own label instead of vanishing into a process-wide
-// sum.
+// sorted-ID order so the output is deterministic.
 func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	tenants := d.List()
 	fmt.Fprintf(w, "# TYPE behaviot_fleet_tenants gauge\nbehaviot_fleet_tenants %d\n", len(tenants))
 	fmt.Fprintf(w, "# TYPE behaviot_fleet_shards gauge\nbehaviot_fleet_shards %d\n", d.cfg.Shards)
-	degraded, quarantined := 0, 0
-	for _, t := range tenants {
-		switch t.Health() {
-		case Degraded:
-			degraded++
-		case Quarantined:
-			quarantined++
-		}
-	}
+	degraded, quarantined := healthCounts(tenants)
 	fmt.Fprintf(w, "# TYPE behaviot_fleet_degraded gauge\nbehaviot_fleet_degraded %d\n", degraded)
 	fmt.Fprintf(w, "# TYPE behaviot_fleet_quarantined gauge\nbehaviot_fleet_quarantined %d\n", quarantined)
+	fmt.Fprintf(w, "# TYPE behaviot_feed_dropped_total counter\nbehaviot_feed_dropped_total %d\n", d.feed.dropped.Load())
 
 	// Sample every tenant once up front (one shard-lock acquisition
 	// each), then render series grouped by metric name as the
@@ -226,24 +214,29 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	type sample struct {
 		t  *Tenant
 		st stream.Stats
-		qs stream.QueueStats
 		ws modelstore.WriteStats
 	}
 	samples := make([]sample, len(tenants))
 	for i, t := range tenants {
-		t.shardMu.Lock()
-		st := t.monitor.Stats()
-		t.shardMu.Unlock()
-		samples[i] = sample{t: t, st: st, qs: t.queue.Stats()}
+		samples[i] = sample{t: t, st: t.stats()}
 		if t.store != nil {
 			samples[i].ws = t.store.Stats()
 		}
 	}
 
-	counters := []struct {
+	type series struct {
 		name string
 		val  func(sample) int64
-	}{
+	}
+	render := func(kind string, all []series) {
+		for _, m := range all {
+			fmt.Fprintf(w, "# TYPE %s %s\n", m.name, kind)
+			for _, s := range samples {
+				fmt.Fprintf(w, "%s{tenant=%q} %d\n", m.name, s.t.ID, m.val(s))
+			}
+		}
+	}
+	render("counter", []series{
 		{"behaviot_tenant_packets_total", func(s sample) int64 { return s.st.Packets }},
 		{"behaviot_tenant_flows_total", func(s sample) int64 { return s.st.Flows }},
 		{"behaviot_tenant_events_periodic_total", func(s sample) int64 { return s.st.Periodic }},
@@ -252,9 +245,6 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"behaviot_tenant_late_dropped_total", func(s sample) int64 { return s.st.LateDropped }},
 		{"behaviot_tenant_received_records_total", func(s sample) int64 { return s.t.received.Load() }},
 		{"behaviot_tenant_parse_errors_total", func(s sample) int64 { return s.t.parseErrors.Load() }},
-		{"behaviot_tenant_queue_fed_total", func(s sample) int64 { return s.qs.Fed }},
-		{"behaviot_tenant_queue_shed_total", func(s sample) int64 { return s.qs.Shed }},
-		{"behaviot_tenant_queue_backpressure_waits_total", func(s sample) int64 { return s.qs.BackpressureWaits }},
 		{"behaviot_tenant_checkpoints_total", func(s sample) int64 { return s.t.checkpointsTotal.Load() }},
 		{"behaviot_tenant_checkpoint_failures_total", func(s sample) int64 { return s.t.ckptFailuresTotal.Load() }},
 		{"behaviot_tenant_checkpoint_fulls_total", func(s sample) int64 { return int64(s.ws.Fulls) }},
@@ -263,12 +253,8 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"behaviot_tenant_resume_fallbacks_total", func(s sample) int64 { return s.t.resumeFallbacks.Load() }},
 		{"behaviot_tenant_panics_total", func(s sample) int64 { return s.t.panics.Load() }},
 		{"behaviot_tenant_restarts_total", func(s sample) int64 { return s.t.restarts.Load() }},
-	}
-	gauges := []struct {
-		name string
-		val  func(sample) int64
-	}{
-		{"behaviot_tenant_queue_depth", func(s sample) int64 { return int64(s.qs.Depth) }},
+	})
+	render("gauge", []series{
 		{"behaviot_tenant_store_generation", func(s sample) int64 { return s.t.storeGen.Load() }},
 		// Health encodes the FSM state numerically (0 healthy, 1
 		// degraded, 2 quarantined) so dashboards can alert on >= 1.
@@ -287,24 +273,15 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			}
 			return 0
 		}},
-	}
-	for _, c := range counters {
-		fmt.Fprintf(w, "# TYPE %s counter\n", c.name)
-		for _, s := range samples {
-			fmt.Fprintf(w, "%s{tenant=%q} %d\n", c.name, s.t.ID, c.val(s))
-		}
-	}
-	for _, g := range gauges {
-		fmt.Fprintf(w, "# TYPE %s gauge\n", g.name)
-		for _, s := range samples {
-			fmt.Fprintf(w, "%s{tenant=%q} %d\n", g.name, s.t.ID, g.val(s))
-		}
-	}
+	})
 }
 
 // handleFeed streams the fleet event feed as server-sent events: one
-// `data: <json>` line per user event or deviation, tenant-tagged. The
-// stream ends when the client disconnects or the daemon closes.
+// `data: <json>` line per user event or deviation, tenant-tagged. After
+// each blocking receive it takes whatever else the subscription already
+// holds and sends the lot with one write and one flush: a burst costs
+// one syscall, and nothing ever waits on a timer. The stream ends when
+// the client disconnects or the daemon closes.
 func (d *Daemon) handleFeed(w http.ResponseWriter, r *http.Request) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
@@ -317,22 +294,31 @@ func (d *Daemon) handleFeed(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
+	var buf []byte
 	for {
 		select {
 		case <-r.Context().Done():
 			return
 		case it, ok := <-ch:
+			// held is a snapshot: the only receiver can take that many
+			// without blocking, and a fast publisher cannot starve the flush.
+			buf = buf[:0]
+			for held := len(ch); ok; held-- {
+				buf = it.appendSSE(buf)
+				if held == 0 {
+					break
+				}
+				it, ok = <-ch
+			}
+			if len(buf) > 0 {
+				if _, err := w.Write(buf); err != nil {
+					return // client gone
+				}
+				flusher.Flush()
+			}
 			if !ok {
 				return // daemon closed
 			}
-			data, err := json.Marshal(it)
-			if err != nil {
-				continue
-			}
-			if _, err := fmt.Fprintf(w, "data: %s\n\n", data); err != nil {
-				return // client gone
-			}
-			flusher.Flush()
 		}
 	}
 }

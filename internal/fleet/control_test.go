@@ -134,7 +134,6 @@ func TestControlAddRemoveUnderLiveIngest(t *testing.T) {
 
 	close(stop)
 	wg.Wait()
-	steady.queue.Flush()
 	if got, want := steady.received.Load(), sent.Load(); got != want {
 		t.Errorf("steady tenant received %d of %d packets sent during churn", got, want)
 	}
@@ -212,7 +211,6 @@ func TestControlStatusShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	ingestAll(t, tn, fx.classes[0][:200])
-	tn.queue.Flush()
 
 	resp, body := doJSON(t, http.MethodGet, ts.URL+"/tenants/home-1/status", nil)
 	if resp.StatusCode != http.StatusOK {
@@ -232,7 +230,7 @@ func TestControlStatusShape(t *testing.T) {
 	for _, key := range []string{
 		"shard", "packets", "flows", "periodic", "user", "aperiodic",
 		"deviations", "late_dropped", "received_records", "fed_records",
-		"parse_errors", "queue_depth", "queue_fed", "queue_shed", "queue_waits",
+		"parse_errors", "queue_depth", "queue_shed", "queue_waits",
 		"store_generation", "checkpoints_total", "checkpoint_failures_total",
 		"panics_total", "restarts_total",
 	} {
@@ -280,7 +278,6 @@ func TestControlMetricsTenantLabels(t *testing.T) {
 			n = 150
 		}
 		ingestAll(t, tn, fx.classes[0][:n])
-		tn.queue.Flush()
 	}
 
 	resp, body := doJSON(t, http.MethodGet, ts.URL+"/metrics", nil)
@@ -293,9 +290,8 @@ func TestControlMetricsTenantLabels(t *testing.T) {
 		"behaviot_fleet_shards 2",
 		`behaviot_tenant_received_records_total{tenant="home-a"} 100`,
 		`behaviot_tenant_received_records_total{tenant="home-b"} 150`,
-		`behaviot_tenant_queue_fed_total{tenant="home-a"} 100`,
-		`behaviot_tenant_queue_shed_total{tenant="home-a"} 0`,
-		`behaviot_tenant_queue_backpressure_waits_total{tenant="home-a"}`,
+		`behaviot_tenant_packets_total{tenant="home-a"} 100`,
+		"behaviot_feed_dropped_total 0",
 		"behaviot_fleet_degraded 0",
 		"behaviot_fleet_quarantined 0",
 		`behaviot_tenant_checkpoint_failures_total{tenant="home-a"} 0`,
@@ -305,6 +301,10 @@ func TestControlMetricsTenantLabels(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+	// The queue is gone, and its series with it.
+	if strings.Contains(text, "behaviot_tenant_queue_") {
+		t.Error("/metrics still exports behaviot_tenant_queue_* series")
 	}
 	// Deterministic rendering: two samples of an idle fleet are identical.
 	_, body2 := doJSON(t, http.MethodGet, ts.URL+"/metrics", nil)
@@ -380,7 +380,6 @@ func TestControlTenantEvents(t *testing.T) {
 	// Class 0 reliably produces one user event (pinned by the debug
 	// stats behind the fixture design).
 	ingestAll(t, tn, fx.classes[0])
-	tn.queue.Flush()
 
 	resp, body := doJSON(t, http.MethodGet, ts.URL+"/tenants/home-1/events", nil)
 	if resp.StatusCode != http.StatusOK {

@@ -100,7 +100,6 @@ func TestFaultSoakPanicIsolation(t *testing.T) {
 	// Phase 1: the victim replays its first half and lands a durable
 	// checkpoint — the state its restart must resume from.
 	ingestAll(t, victim, victimClass[:half])
-	victim.queue.Flush()
 	victim.checkpoint()
 	if victim.storeGen.Load() == 0 {
 		t.Fatal("victim checkpoint did not land")
@@ -136,7 +135,6 @@ func TestFaultSoakPanicIsolation(t *testing.T) {
 				return
 			}
 		}
-		victim.queue.Flush()
 	}()
 	wg.Wait()
 	waitFor(t, "victim quarantine", func() bool { return victim.Health() == Quarantined })
@@ -159,7 +157,7 @@ func TestFaultSoakPanicIsolation(t *testing.T) {
 	if !bytes.Contains(logData, []byte("injected tenant panic")) {
 		t.Error("victim event log panic record lacks the panic value")
 	}
-	if deg, q := d.healthCounts(); q != 1 {
+	if deg, q := healthCounts(d.List()); q != 1 {
 		t.Errorf("healthCounts = (%d degraded, %d quarantined), want exactly 1 quarantined", deg, q)
 	}
 	// A quarantined tenant fails the probe at the status-code level too:
@@ -262,7 +260,6 @@ func TestFaultSoakCrashLoopBudget(t *testing.T) {
 				break
 			}
 		}
-		tn.queue.Flush()
 		waitFor(t, "quarantine", func() bool { return tn.Health() == Quarantined })
 	}
 
@@ -314,8 +311,6 @@ func TestFaultSoakCheckpointRetry(t *testing.T) {
 	}
 	ingestAll(t, victim, fx.classes[0][:200])
 	ingestAll(t, neighbor, fx.classes[1][:200])
-	victim.queue.Flush()
-	neighbor.queue.Flush()
 
 	// A clean first generation, then the victim's store goes bad — only
 	// the victim's: the injector is path-scoped to its tenant dir.
@@ -425,7 +420,6 @@ func TestCheckpointPanicReleasesShardLock(t *testing.T) {
 		t.Fatal(err)
 	}
 	ingestAll(t, victim, fx.classes[0][:100])
-	victim.queue.Flush()
 	victim.checkpoint()
 	if victim.storeGen.Load() < 1 {
 		t.Fatal("no clean generation before the induced panic")
@@ -448,7 +442,6 @@ func TestCheckpointPanicReleasesShardLock(t *testing.T) {
 
 	// Neighbors on the same shard keep checkpointing.
 	ingestAll(t, neighbor, fx.classes[1][:100])
-	neighbor.queue.Flush()
 	neighbor.checkpoint()
 	if neighbor.storeGen.Load() < 1 {
 		t.Error("neighbor could not land a checkpoint after the victim's panic")
@@ -513,7 +506,6 @@ func TestRestartFailureLeavesQuarantinedPlaceholder(t *testing.T) {
 		t.Fatal(err)
 	}
 	ingestAll(t, tn, fx.classes[0][:100])
-	tn.queue.Flush()
 	tn.checkpoint()
 	tn.forceQuarantine("test-induced")
 
@@ -542,7 +534,7 @@ func TestRestartFailureLeavesQuarantinedPlaceholder(t *testing.T) {
 	if err := got.IngestRecord(r0.Time, r0.Data, nil); err != ErrTenantQuarantined {
 		t.Errorf("placeholder ingest error = %v, want ErrTenantQuarantined", err)
 	}
-	if _, q := d.healthCounts(); q != 1 {
+	if _, q := healthCounts(d.List()); q != 1 {
 		t.Errorf("healthCounts quarantined = %d, want 1", q)
 	}
 	resp, body = doJSON(t, http.MethodGet, ts.URL+"/healthz", nil)

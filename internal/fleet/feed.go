@@ -2,7 +2,10 @@ package fleet
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
+
+	"behaviot/internal/jsonenc"
 )
 
 // FeedItem is one entry on the fleet's streaming event feed: a user
@@ -20,25 +23,40 @@ type FeedItem struct {
 	Score      float64   `json:"score,omitempty"`
 }
 
-// feedHub fans classified events out to streaming subscribers. Sends
-// never block the ingest path: a subscriber whose buffer is full loses
-// the item and the loss is counted on its subscription (the feed is a
-// live tap, not a durable log — the event log is the durable record).
-type feedHub struct {
-	mu     sync.Mutex // guards subs, nextID, closed
-	subs   map[int]*feedSub
-	nextID int
-	closed bool
+// appendSSE appends the item as one server-sent event, the JSON exactly
+// as json.Marshal renders it. An item JSON cannot carry (a non-finite
+// score) appends nothing: absent from the feed, as from the event log.
+func (it *FeedItem) appendSSE(dst []byte) []byte {
+	o := jsonenc.Begin(append(dst, "data: "...))
+	o.String("tenant", it.Tenant)
+	o.String("kind", it.Kind)
+	o.Time("time", it.Time)
+	o.String("device", it.Device)
+	o.OptString("label", it.Label)
+	o.OptString("deviation_kind", it.DevKind)
+	o.OptString("detail", it.Detail)
+	o.OptFloat("confidence", it.Confidence)
+	o.OptFloat("score", it.Score)
+	if out, ok := o.End(); ok {
+		return append(out, "\n\n"...)
+	}
+	return dst
 }
 
-// feedSub is one subscriber: a buffered channel plus its drop counter.
-type feedSub struct {
-	ch      chan FeedItem
-	dropped int64
+// feedHub fans classified events out to streaming subscribers. Sends
+// never block the ingest path: a subscriber whose buffer is full loses
+// the item and the loss is counted (the feed is a live tap, not a
+// durable log — the event log is the durable record).
+type feedHub struct {
+	mu      sync.Mutex // guards subs, nextID, closed
+	subs    map[int]chan FeedItem
+	nextID  int
+	closed  bool
+	dropped atomic.Int64 // items lost to full subscriber buffers, ever
 }
 
 func newFeedHub() *feedHub {
-	return &feedHub{subs: map[int]*feedSub{}}
+	return &feedHub{subs: map[int]chan FeedItem{}}
 }
 
 // subscribe registers a subscriber with the given buffer and returns
@@ -47,36 +65,36 @@ func (h *feedHub) subscribe(buffer int) (<-chan FeedItem, func()) {
 	if buffer <= 0 {
 		buffer = 64
 	}
-	sub := &feedSub{ch: make(chan FeedItem, buffer)}
+	ch := make(chan FeedItem, buffer)
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()
-		close(sub.ch)
-		return sub.ch, func() {}
+		close(ch)
+		return ch, func() {}
 	}
 	id := h.nextID
 	h.nextID++
-	h.subs[id] = sub
+	h.subs[id] = ch
 	h.mu.Unlock()
 	cancel := func() {
 		h.mu.Lock()
-		if s, ok := h.subs[id]; ok {
+		if _, ok := h.subs[id]; ok {
 			delete(h.subs, id)
-			close(s.ch)
+			close(ch)
 		}
 		h.mu.Unlock()
 	}
-	return sub.ch, cancel
+	return ch, cancel
 }
 
 // publish delivers an item to every subscriber without blocking.
 func (h *feedHub) publish(it FeedItem) {
 	h.mu.Lock()
-	for _, s := range h.subs {
+	for _, ch := range h.subs {
 		select {
-		case s.ch <- it:
+		case ch <- it:
 		default:
-			s.dropped++
+			h.dropped.Add(1)
 		}
 	}
 	h.mu.Unlock()
@@ -85,9 +103,9 @@ func (h *feedHub) publish(it FeedItem) {
 // close drops all subscribers, closing their channels.
 func (h *feedHub) close() {
 	h.mu.Lock()
-	for id, s := range h.subs {
+	for id, ch := range h.subs {
 		delete(h.subs, id)
-		close(s.ch)
+		close(ch)
 	}
 	h.closed = true
 	h.mu.Unlock()

@@ -22,11 +22,6 @@ type Config struct {
 	// Feed concurrency never exceeds it, however many tenants are
 	// registered. Default: GOMAXPROCS.
 	Shards int
-	// QueueLen bounds each tenant's feed queue (default 1024).
-	QueueLen int
-	// FeedBatch caps how many queued packets a tenant's queue consumer
-	// drains per shard-lock acquisition (default 64).
-	FeedBatch int
 	// PipeSnap is the marshaled trained pipeline (core.MarshalPipeline
 	// bytes). Every tenant unmarshals a private copy, so tenants share
 	// trained knowledge but never mutable model state. Required.
@@ -79,10 +74,7 @@ type Config struct {
 	// exceeds the budget, Restart refuses with ErrCrashLoop and the
 	// tenant stays quarantined. Default 3.
 	CrashLoopBudget int
-	// ShedDegradeTicks is how many consecutive housekeeping ticks with
-	// fresh queue shed mark a tenant Degraded. Default 3.
-	ShedDegradeTicks int
-	// PanicProbe, when set, runs inside every tenant's feed boundary
+	// PanicProbe, when set, runs inside every tenant's Ingest boundary
 	// (under the shard lock, before the batch reaches the monitor)
 	// with the tenant's ID. It exists for fault injection: a probe
 	// that panics for one tenant ID detonates exactly the failure the
@@ -94,20 +86,11 @@ func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = runtime.GOMAXPROCS(0)
 	}
-	if c.QueueLen <= 0 {
-		c.QueueLen = 1024
-	}
-	if c.FeedBatch <= 0 {
-		c.FeedBatch = 64
-	}
 	if c.CheckpointAgeAlarm <= 0 && c.CheckpointInterval > 0 {
 		c.CheckpointAgeAlarm = 3 * c.CheckpointInterval
 	}
 	if c.CrashLoopBudget <= 0 {
 		c.CrashLoopBudget = 3
-	}
-	if c.ShedDegradeTicks <= 0 {
-		c.ShedDegradeTicks = 3
 	}
 	return c
 }
@@ -115,8 +98,8 @@ func (c Config) withDefaults() Config {
 // Daemon hosts many tenant deployments behind one process: a registry
 // of tenants placed on shards by a consistent hash ring, an SSE feed
 // hub, and per-shard housekeeping workers. Ingest sources reach
-// tenants through Authenticate + Tenant.IngestRecord (the listener
-// front end does exactly that); operators reach them through the REST
+// tenants through Authenticate + Tenant.Ingest (the listener front
+// end does exactly that); operators reach them through the REST
 // control plane (RegisterHandlers).
 type Daemon struct {
 	cfg    Config
@@ -188,7 +171,7 @@ func (d *Daemon) List() []*Tenant {
 }
 
 // Close shuts the fleet down cleanly: housekeeping workers stop, then
-// every tenant is drained (queue closed, packets flushed into its
+// every tenant is finalized (trailing flows flushed through its
 // monitor), final-checkpointed, and its event log closed. Tenants are
 // closed shard-parallel — shards are independent serialization
 // domains — but sequentially within a shard. Idempotent.
@@ -199,18 +182,15 @@ func (d *Daemon) Close() error {
 		return nil
 	}
 	d.closed = true
-	tenants := make([]*Tenant, 0, len(d.tenants))
-	for _, t := range d.tenants {
-		tenants = append(tenants, t)
-	}
 	d.mu.Unlock()
 
 	for _, sh := range d.shards {
 		sh.stop()
 	}
 
+	// closed keeps Add and Restart out: the list is final, and ID-sorted.
 	byShard := make([][]*Tenant, d.cfg.Shards)
-	for _, t := range tenants {
+	for _, t := range d.List() {
 		byShard[t.Shard] = append(byShard[t.Shard], t)
 	}
 	var wg sync.WaitGroup
@@ -221,7 +201,6 @@ func (d *Daemon) Close() error {
 		wg.Add(1)
 		go func(ts []*Tenant) {
 			defer wg.Done()
-			sort.Slice(ts, func(i, j int) bool { return ts[i].ID < ts[j].ID })
 			for _, t := range ts {
 				t.close()
 			}

@@ -85,7 +85,7 @@ func getFixture(t *testing.T) *fleetFixture {
 			t.Fatalf("encoding class %d: %v", k, err)
 		}
 		if len(recs) < 100 {
-			t.Fatalf("class %d stream has only %d records; too thin to exercise the queue", k, len(recs))
+			t.Fatalf("class %d stream has only %d records; too thin to exercise the monitor", k, len(recs))
 		}
 		fx.classes = append(fx.classes, recs)
 	}
@@ -266,11 +266,10 @@ func TestDuplicateAddLeavesLiveTenantIntact(t *testing.T) {
 		t.Fatal(err)
 	}
 	ingestAll(t, tn, fx.classes[0][:200])
-	tn.queue.Flush()
 	// Land a deterministic log line through the tenant's own record
 	// path (deviations from the replay only finalize at close, which
 	// would be too late to snapshot a non-empty log here).
-	tn.record(nil, &stream.Deviation{
+	tn.recordDeviation(stream.Deviation{
 		Kind: core.DevPeriodic, Device: "Gosund Bulb",
 		Detail: "went dark", Time: time.Unix(0, 0).UTC(),
 	})
@@ -300,7 +299,7 @@ func TestDuplicateAddLeavesLiveTenantIntact(t *testing.T) {
 	// The live tenant keeps working: another line lands and the final
 	// log is the pre-duplicate bytes plus appended lines — no
 	// truncation hole where the prefix used to be.
-	tn.record(nil, &stream.Deviation{
+	tn.recordDeviation(stream.Deviation{
 		Kind: core.DevPeriodic, Device: "TPLink Plug",
 		Detail: "went dark", Time: time.Unix(1, 0).UTC(),
 	})
@@ -338,7 +337,6 @@ func TestTenantIngestAccounting(t *testing.T) {
 	if err := tn.IngestRecord(recs[0].Time, []byte{0xde, 0xad}, nil); err != nil {
 		t.Fatal(err)
 	}
-	tn.queue.Flush()
 
 	received, fed, perr := tn.received.Load(), tn.fed.Load(), tn.parseErrors.Load()
 	if received != int64(len(recs))+1 {
@@ -358,7 +356,7 @@ func TestTenantIngestAccounting(t *testing.T) {
 	}
 
 	status := tn.Status()
-	for _, key := range []string{"tenant", "shard", "packets", "received_records", "queue_fed", "queue_shed", "queue_waits"} {
+	for _, key := range []string{"tenant", "shard", "packets", "received_records", "fed_records", "queue_depth", "queue_shed", "queue_waits"} {
 		if _, ok := status[key]; !ok {
 			t.Errorf("Status() missing %q", key)
 		}

@@ -9,16 +9,16 @@ import (
 
 // Health is a tenant's supervision state. The FSM:
 //
-//	Healthy ──checkpoint failure / sustained shed──▶ Degraded
-//	Degraded ──checkpoint lands, shed clears──▶ Healthy
-//	any ──panic in feed / checkpoint / ingest──▶ Quarantined
+//	Healthy ──checkpoint failure──▶ Degraded
+//	Degraded ──checkpoint lands──▶ Healthy
+//	any ──panic in feed / checkpoint / finalize──▶ Quarantined
 //	Quarantined ──POST /tenants/{id}/restart──▶ Healthy (new incarnation)
 //
 // Degraded is reversible in place: the shard housekeeper keeps retrying
 // the checkpoint with backoff, and the tenant keeps monitoring.
 // Quarantined is terminal for the incarnation: the tenant's model state
 // may be poisoned by whatever panicked, so it is fenced — ingest
-// rejected, feeds dropped, housekeeping skipped — until an operator
+// rejected, housekeeping skipped — until an operator
 // restart rebuilds it from its last durable checkpoint.
 type Health int32
 
@@ -50,7 +50,7 @@ func (t *Tenant) Health() Health { return Health(t.health.Load()) }
 // reference runs (the isolation oracle depends on this). The
 // transition is a CAS loop that refuses to leave Quarantined: a
 // quarantinePanic landing between a caller's health check and this
-// store (listener-goroutine ingest panic racing the housekeeper's
+// store (connection-goroutine ingest panic racing the housekeeper's
 // checkpoint-failure reevaluation) must not be overwritten — that
 // would un-fence a tenant whose monitor state may be poisoned. Only
 // Restart escapes quarantine, by building a new incarnation.
@@ -64,32 +64,31 @@ func (t *Tenant) setHealth(to Health, reason string) {
 			continue
 		}
 		log.Printf("fleet: tenant %s health %s -> %s (%s)", t.ID, from, to, reason)
-		t.ringMu.Lock()
-		t.appendEventLogLocked(eventLogLine{
+		t.logLine(eventLogLine{
 			Type: "health", Time: time.Now().UTC(), Device: t.ID,
 			Label: to.String(), Detail: reason,
 		})
-		t.ringMu.Unlock()
 		return
 	}
 }
 
-// reevaluateHealth recomputes Healthy/Degraded from the degradation
-// inputs. Quarantine is sticky: setHealth refuses to leave it (the
-// check here is just a fast path), and only Restart escapes.
+// reevaluateHealth recomputes Healthy/Degraded from the checkpoint
+// failure streak. Quarantine is sticky: setHealth refuses to leave it
+// (the check here is just a fast path), and only Restart escapes.
 func (t *Tenant) reevaluateHealth(reason string) {
 	if t.Health() == Quarantined {
 		return
 	}
-	if t.ckptFailures.Load() > 0 || t.shedDegraded.Load() {
+	if t.ckptFailures.Load() > 0 {
 		t.setHealth(Degraded, reason)
 	} else {
 		t.setHealth(Healthy, reason)
 	}
 }
 
-// catchPanic is the deferred guard at every supervision boundary
-// (queue-sink feed, checkpoint/housekeeping, ingest decode). It
+// catchPanic is the deferred guard at the supervision boundaries that
+// have no error to return (checkpoint/housekeeping, finalize; Ingest
+// recovers inline because it also reports to its caller). It
 // converts a panic anywhere in one tenant's pipeline into that
 // tenant's quarantine — stack preserved in the tenant's event log —
 // while every neighboring tenant keeps running.
@@ -106,48 +105,24 @@ func (t *Tenant) quarantinePanic(where string, r any) {
 	t.panics.Add(1)
 	stack := debug.Stack()
 	log.Printf("fleet: tenant %s panic in %s: %v\n%s", t.ID, where, r, stack)
-	t.ringMu.Lock()
-	t.appendEventLogLocked(eventLogLine{
+	t.logLine(eventLogLine{
 		Type: "panic", Time: time.Now().UTC(), Device: t.ID,
 		Kind: where, Detail: fmt.Sprintf("%v", r), Label: string(stack),
 	})
-	t.ringMu.Unlock()
-	// Swap directly rather than via setHealth: quarantine must stick
-	// even if a concurrent reevaluateHealth races this transition, and
-	// the panic line above already records the cause.
-	if from := Health(t.health.Swap(int32(Quarantined))); from != Quarantined {
-		log.Printf("fleet: tenant %s health %s -> quarantined (panic in %s)", t.ID, from, where)
-	}
+	// Not via setHealth: quarantine must stick even if a concurrent
+	// reevaluateHealth races it; the panic line above records the cause.
+	t.forceQuarantine("panic in " + where)
 }
 
-// forceQuarantine fences a tenant outside the panic path — today, a
-// Restart whose rebuild failed, which re-registers the closed old
+// forceQuarantine fences a tenant: after a recovered panic, or for a
+// Restart whose rebuild failed and re-registers the closed old
 // incarnation as a quarantined placeholder. Entering Quarantined is
 // always legal (it is the sticky terminal state), so a plain Swap
-// suffices. The event log is typically already closed here, so the
-// transition goes to the process log only.
+// suffices. Process log only: the panic path has written its own
+// event-log line, and the placeholder's event log is closed.
 func (t *Tenant) forceQuarantine(reason string) {
 	if from := Health(t.health.Swap(int32(Quarantined))); from != Quarantined {
 		log.Printf("fleet: tenant %s health %s -> quarantined (%s)", t.ID, from, reason)
-	}
-}
-
-// trackShed runs once per housekeeping tick: a tick that shed packets
-// counts toward degradation, a clean tick resets the streak. Crossing
-// ShedDegradeTicks marks the tenant shed-degraded until a clean tick.
-func (t *Tenant) trackShed() {
-	shed := t.queue.Stats().Shed
-	prev := t.lastShedSeen.Swap(shed)
-	if shed > prev {
-		if t.shedTicks.Add(1) >= int64(t.d.cfg.ShedDegradeTicks) {
-			t.shedDegraded.Store(true)
-			t.reevaluateHealth("sustained queue shed")
-		}
-		return
-	}
-	t.shedTicks.Store(0)
-	if t.shedDegraded.Swap(false) {
-		t.reevaluateHealth("queue shed cleared")
 	}
 }
 
@@ -171,10 +146,10 @@ func (t *Tenant) checkpointAgeAlarm() bool {
 		t.checkpointAge() > t.d.cfg.CheckpointAgeAlarm
 }
 
-// healthCounts tallies the fleet's degraded and quarantined tenants
-// (the /healthz and /metrics rollups).
-func (d *Daemon) healthCounts() (degraded, quarantined int) {
-	for _, t := range d.List() {
+// healthCounts tallies the degraded and quarantined tenants among
+// tenants (the /healthz and /metrics rollups).
+func healthCounts(tenants []*Tenant) (degraded, quarantined int) {
+	for _, t := range tenants {
 		switch t.Health() {
 		case Degraded:
 			degraded++

@@ -1,7 +1,8 @@
 // Package listener is the fleet daemon's ingest front end: it accepts
 // many concurrent pcap-record sources over unix sockets and TCP, one
-// connection per source, and feeds each source's records into its
-// tenant's bounded queue. The wire protocol is deliberately tiny:
+// connection per source, and ingests each source's records into its
+// tenant on the connection's own goroutine. The wire protocol is
+// deliberately tiny:
 //
 //	client → server: "BEHAVIOT/1 <tenant-id> <token>\n"
 //	server → client: "OK\n"                      (or "ERR <reason>\n" + close)
@@ -13,11 +14,12 @@
 //
 // Authentication is per source: the hello token must match the
 // tenant's registered ingest token (constant-time compare in the fleet
-// registry). Backpressure is per tenant: a source whose tenant's queue
-// is full blocks in IngestRecord, which stalls this connection's read
-// loop — and only this connection — until the queue drains. The final
-// ack lets a source verify the server consumed everything it sent,
-// which is how the fleet-soak gate proves clean SIGTERM drains.
+// registry). There is no queue behind the socket: the handler
+// classifies what it read, under its tenant's shard lock, before it
+// reads again, so a source that outruns its shard fills its own socket
+// buffer and nobody else's. The final ack lets a source verify the
+// server consumed everything it sent, which is how the fleet-soak gate
+// proves clean SIGTERM drains.
 package listener
 
 import (
@@ -32,7 +34,6 @@ import (
 	"time"
 
 	"behaviot/internal/fleet"
-	"behaviot/internal/pcapio"
 )
 
 const (
@@ -52,6 +53,8 @@ const (
 	// pin a goroutine, a connection slot, and a read buffer until
 	// server Close — a trivial slowloris hold on a reachable port.
 	DefaultHelloTimeout = 10 * time.Second
+	// readWindow is each connection's read buffer: one read, one batch.
+	readWindow = 32 << 10
 )
 
 // Server accepts ingest connections and routes them to fleet tenants.
@@ -60,14 +63,13 @@ type Server struct {
 	// HelloTimeout is the read deadline covering the unauthenticated
 	// hello exchange; zero means DefaultHelloTimeout. Set before Serve.
 	HelloTimeout time.Duration
-	// IdleTimeout, when positive, is re-armed before every record read
+	// IdleTimeout, when positive, is re-armed before every batch read
 	// after authentication: a source that goes silent longer is cut
 	// off. Zero (the default) means no idle limit — a quiet home
 	// legitimately sends nothing for long stretches. Set before Serve.
 	IdleTimeout time.Duration
 
-	d            *fleet.Daemon
-	maxRecordLen uint32
+	d *fleet.Daemon
 
 	mu        sync.Mutex // guards listeners, conns, closed
 	listeners map[net.Listener]struct{}
@@ -83,10 +85,9 @@ var ErrServerClosed = errors.New("listener: server closed")
 // New builds a server front end for the given fleet daemon.
 func New(d *fleet.Daemon) *Server {
 	return &Server{
-		d:            d,
-		maxRecordLen: DefaultMaxRecordLen,
-		listeners:    map[net.Listener]struct{}{},
-		conns:        map[net.Conn]struct{}{},
+		d:         d,
+		listeners: map[net.Listener]struct{}{},
+		conns:     map[net.Conn]struct{}{},
 	}
 }
 
@@ -133,9 +134,9 @@ func (s *Server) Serve(l net.Listener) error {
 }
 
 // Close stops accepting, severs every live connection, and waits for
-// handlers to finish. Records already handed to tenant queues are not
-// lost — draining them is fleet.Daemon.Close's job, which the caller
-// runs after this returns. Idempotent.
+// handlers to finish — each completes the batch it is ingesting, so
+// every record counted is in its tenant's monitor when this returns.
+// The caller runs fleet.Daemon.Close next. Idempotent.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -161,11 +162,8 @@ func (s *Server) forget(c net.Conn) {
 	s.mu.Unlock()
 }
 
-// handleConn authenticates one source and pumps its records into its
-// tenant. Pool discipline: each record buffer is acquired here with
-// pcapio.GetBuf and handed to Tenant.IngestRecord, which consumes it
-// on every path; only a read failure before the hand-off releases it
-// locally.
+// handleConn authenticates one source and ingests its records into its
+// tenant until the source half-closes, misbehaves, or is cut off.
 func (s *Server) handleConn(c net.Conn) {
 	defer s.wg.Done()
 	defer s.forget(c)
@@ -179,7 +177,7 @@ func (s *Server) handleConn(c net.Conn) {
 	}
 	c.SetReadDeadline(time.Now().Add(hello)) //lint:ignore errcheck a conn that rejects deadlines just keeps the pre-fix behavior
 
-	br := bufio.NewReaderSize(c, 32<<10)
+	br := bufio.NewReaderSize(c, readWindow)
 	id, token, err := readHello(br)
 	if err != nil {
 		writeLine(c, "ERR bad hello")
@@ -193,59 +191,103 @@ func (s *Server) handleConn(c net.Conn) {
 	if !writeLine(c, "OK") {
 		return
 	}
-	// Authenticated: drop the hello deadline. Each record read below
+	// Authenticated: drop the hello deadline. Each batch read below
 	// re-arms the optional idle deadline instead.
 	c.SetReadDeadline(time.Time{}) //lint:ignore errcheck symmetric with the arm above
 
+	src := source{br: br, t: t}
 	var consumed int64
-	var hdr [recordHeaderLen]byte
 	for {
 		if s.IdleTimeout > 0 {
 			c.SetReadDeadline(time.Now().Add(s.IdleTimeout)) //lint:ignore errcheck best-effort idle guard
 		}
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			if err == io.EOF {
-				// Clean half-close: every record sent was consumed.
-				writeLine(c, fmt.Sprintf("OK %d", consumed))
-			}
-			return
+		n, err := src.ingestBuffered()
+		consumed += int64(n)
+		var badLen recordLenError
+		switch {
+		case err == nil:
+			continue
+		case err == io.EOF:
+			// Clean half-close: every record sent was consumed.
+			writeLine(c, fmt.Sprintf("OK %d", consumed))
+		case errors.As(err, &badLen):
+			writeLine(c, "ERR "+err.Error())
+		case errors.Is(err, fleet.ErrTenantQuarantined):
+			// Unlike "closed": an operator restart brings the tenant back.
+			writeLine(c, "ERR tenant quarantined")
+		case errors.Is(err, fleet.ErrTenantClosed):
+			writeLine(c, "ERR tenant closed")
 		}
-		nanos := int64(binary.LittleEndian.Uint64(hdr[0:8]))
-		n := binary.LittleEndian.Uint32(hdr[8:12])
-		if n == 0 || n > s.maxRecordLen {
-			writeLine(c, fmt.Sprintf("ERR record length %d out of range", n))
-			return
-		}
-		buf := pcapio.GetBuf()
-		data := (*buf)[:0]
-		if uint32(cap(data)) < n {
-			// Grow through the pooled buffer so the larger backing array
-			// is what gets recycled (the growth-keep pattern the daemon's
-			// pcap feed uses).
-			data = make([]byte, n)
-			*buf = data[:cap(data)]
-		} else {
-			data = data[:n]
-		}
-		if _, err := io.ReadFull(br, data); err != nil {
-			pcapio.PutBuf(buf)
-			return
-		}
-		if err := t.IngestRecord(time.Unix(0, nanos), data, buf); err != nil {
-			// IngestRecord consumed the buffer on every path, including
-			// these (tenant removed or quarantined mid-stream). The two
-			// reasons are distinct on the wire: "closed" means the tenant
-			// is gone, "quarantined" means an operator restart will bring
-			// it back and the source should reconnect later.
-			if errors.Is(err, fleet.ErrTenantQuarantined) {
-				writeLine(c, "ERR tenant quarantined")
-			} else {
-				writeLine(c, "ERR tenant closed")
-			}
-			return
-		}
-		consumed++
+		return // any other error is a read failure: nobody to tell
 	}
+}
+
+// recordLenError is a header whose length is zero or beyond the bound.
+type recordLenError uint32
+
+func (e recordLenError) Error() string {
+	return fmt.Sprintf("record length %d out of range", uint32(e))
+}
+
+// source is one authenticated connection's ingest state.
+type source struct {
+	br      *bufio.Reader
+	t       *fleet.Tenant
+	recs    []fleet.Record // reused batch; Data points into br's window or scratch
+	scratch []byte         // holds a record larger than br's window
+}
+
+// ingestBuffered blocks until one whole record has arrived, then
+// ingests it with every other complete record the read left in the
+// window: one Tenant.Ingest call — one shard-lock acquisition — per
+// socket read, not per record. Records are handed over in place and the
+// window released afterwards. io.EOF is a clean close on a record boundary.
+func (s *source) ingestBuffered() (int, error) {
+	hdr, err := s.br.Peek(recordHeaderLen)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return 0, err
+	}
+	n := binary.LittleEndian.Uint32(hdr[8:])
+	if n == 0 || n > DefaultMaxRecordLen {
+		return 0, recordLenError(n)
+	}
+	size := recordHeaderLen + int(n)
+	if size > s.br.Size() {
+		// Too large to ever sit in the window whole: copy it out.
+		if cap(s.scratch) < size {
+			s.scratch = make([]byte, size)
+		}
+		if _, err := io.ReadFull(s.br, s.scratch[:size]); err != nil {
+			return 0, err
+		}
+		return s.t.Ingest(append(s.recs[:0], frame(s.scratch[:size])))
+	}
+	if _, err := s.br.Peek(size); err != nil {
+		return 0, err
+	}
+	win, _ := s.br.Peek(s.br.Buffered()) // cannot fail: asks only for what is buffered
+	s.recs = s.recs[:0]
+	used := 0
+	// A bad or incomplete header ends the batch; the next call handles it.
+	for len(win)-used >= recordHeaderLen {
+		n := binary.LittleEndian.Uint32(win[used+8:])
+		if n == 0 || n > DefaultMaxRecordLen || len(win)-used-recordHeaderLen < int(n) {
+			break
+		}
+		s.recs = append(s.recs, frame(win[used:used+recordHeaderLen+int(n)]))
+		used += recordHeaderLen + int(n)
+	}
+	consumed, err := s.t.Ingest(s.recs)
+	s.br.Discard(used) //lint:ignore errcheck used never exceeds what is buffered
+	return consumed, err
+}
+
+// frame splits one complete wire record into time and payload.
+func frame(b []byte) fleet.Record {
+	return fleet.Record{Time: time.Unix(0, int64(binary.LittleEndian.Uint64(b))), Data: b[recordHeaderLen:]}
 }
 
 // readHello reads and parses the bounded hello line.

@@ -87,9 +87,9 @@ func (d *Daemon) Add(id, token string) (*Tenant, error) {
 	return t, nil
 }
 
-// Remove drains and deletes a tenant: ingest sources are rejected from
-// this point, the queue is drained into the monitor, a final
-// checkpoint lands, and the event log is closed. Other tenants are
+// Remove finalizes and deletes a tenant: ingest sources are rejected
+// from this point, the monitor is flushed, a final checkpoint lands,
+// and the event log is closed. Other tenants are
 // untouched (their packets keep flowing throughout — pinned by the
 // control-plane tests). The tenant's store directory is left on disk
 // so a later Add with Resume picks up where it left off.

@@ -1,12 +1,12 @@
 // Package fleet turns the single-deployment behaviotd pipeline into a
 // multi-tenant daemon: one process hosts many independent smart homes
-// ("tenants"), each with its own bounded feed queue, online monitor,
-// recent-event rings, event log, and crash-safe checkpoint store — the
-// ISP-scale deployment the ROADMAP's north star calls for.
+// ("tenants"), each with its own online monitor, recent-event rings,
+// event log, and crash-safe checkpoint store — the ISP-scale
+// deployment the ROADMAP's north star calls for.
 //
 // Tenants are placed on a fixed set of shards by a consistent hash
-// ring. A shard is a serialization domain: every tenant's queue
-// consumer feeds its monitor under the shard's lock, so feed
+// ring. A shard is a serialization domain: every ingest connection
+// feeds its tenant's monitor under the shard's lock, so feed
 // concurrency is bounded by the shard count regardless of how many
 // tenants are registered, and each shard runs one housekeeping worker
 // that lands periodic checkpoints for its tenants. Per-tenant state

@@ -7,8 +7,8 @@ import (
 )
 
 // shard is one serialization domain plus its housekeeping worker. The
-// mutex serializes every monitor touch for the shard's tenants (queue
-// sinks, checkpoints, status sampling), bounding feed CPU concurrency
+// mutex serializes every monitor touch for the shard's tenants (ingest,
+// checkpoint capture, status sampling), bounding feed CPU concurrency
 // to the shard count however many tenants are registered — the
 // shard-per-worker placement the hash ring feeds. The worker goroutine
 // lands periodic checkpoints for the shard's tenants so checkpointing
@@ -39,8 +39,7 @@ func newShard(index int, d *Daemon) *shard {
 // traffic is evenly phased rather than hash-ordered bursts; tenants
 // added or removed mid-tick are naturally picked up next wake.
 // Quarantined tenants are skipped entirely — their state is fenced
-// until Restart. Shed tracking (Degraded on sustained queue shed)
-// rides the interval ticks.
+// until Restart.
 func (sh *shard) housekeep(d *Daemon) {
 	defer sh.wg.Done()
 	interval := d.cfg.CheckpointInterval
@@ -77,9 +76,6 @@ func (sh *shard) housekeep(d *Daemon) {
 			}
 			if t.closed.Load() || t.Health() == Quarantined {
 				continue
-			}
-			if tickDue {
-				t.trackShed()
 			}
 			due := tickDue
 			if retryAt := t.ckptRetryAtUnix.Load(); retryAt > 0 && now.UnixNano() >= retryAt {

@@ -18,9 +18,10 @@ import (
 const tenantSnapVersion = 1
 
 // checkpoint writes one generation into the tenant's namespaced store:
-// pipeline, monitor streaming state, and tenant state. The queue is
-// flushed first so the monitor has consumed every packet accepted
-// before the flush. Unlike the single-tenant daemon there is no replay
+// pipeline, monitor streaming state, and tenant state, captured
+// together under the shard lock — between two ingest batches, so the
+// counters, the monitor and the event-log mark describe the same
+// records. Unlike the single-tenant daemon there is no replay
 // cursor to keep exact — fleet sources are live sockets that reconnect
 // and continue, so an interval checkpoint is crash insurance, and only
 // the final post-drain checkpoint is the deterministic artifact the
@@ -38,27 +39,19 @@ func (t *Tenant) checkpoint() {
 	t.ckptMu.Lock()
 	defer t.ckptMu.Unlock()
 	defer t.catchPanic("checkpoint")
-	// The ingest gate freezes the received counter across flush +
-	// marshal so the snapshot's counters agree with the monitor state
-	// it captures (see Tenant.ingestGate). It is released before the
-	// slow store write below — only the in-memory capture needs it.
-	// Locks are released by defer, not inline: a panic while marshaling
-	// unwinds into catchPanic above, and quarantining this tenant must
-	// not leave the gate or shardMu held — that would deadlock ingest,
-	// feeds, and checkpoints for every neighbor on the shard.
+	// Only the in-memory capture needs the shard lock; the log sync
+	// and the slow store write run without it. Released by defer: a
+	// marshal panic unwinds into catchPanic above and must not leave
+	// shardMu held — that would deadlock every neighbor on the shard.
 	var pipeSnap, monSnap, state []byte
 	func() {
-		t.ingestGate.Lock()
-		defer t.ingestGate.Unlock()
-		t.queue.Flush()
-		func() {
-			t.shardMu.Lock()
-			defer t.shardMu.Unlock()
-			pipeSnap = core.MarshalPipeline(t.pipe)
-			monSnap = t.monitor.MarshalState()
-		}()
+		t.shardMu.Lock()
+		defer t.shardMu.Unlock()
+		pipeSnap = core.MarshalPipeline(t.pipe)
+		monSnap = t.monitor.MarshalState()
 		state = t.marshalState()
 	}()
+	t.syncEventLog()
 	gen, err := t.store.Write(t.fingerprint, map[string][]byte{
 		modelstore.FilePipeline: pipeSnap,
 		modelstore.FileMonitor:  monSnap,
@@ -86,6 +79,9 @@ func (t *Tenant) checkpoint() {
 // restored tenant needs: ingest counters, the recent-event rings, and
 // the event-log high-water mark. The encoding is deterministic: two
 // tenants that consumed identical streams marshal identical bytes.
+// Caller holds shardMu, so counters and mark agree with the monitor
+// state captured beside them (buffered log lines are written out first
+// so the mark covers them), and syncs the log before storing the result.
 func (t *Tenant) marshalState() []byte {
 	var w snapio.Writer
 	w.U8(tenantSnapVersion)
@@ -98,11 +94,7 @@ func (t *Tenant) marshalState() []byte {
 
 	t.ringMu.Lock()
 	defer t.ringMu.Unlock()
-	if t.eventLog != nil {
-		if err := t.eventLog.Sync(); err != nil {
-			log.Printf("fleet: tenant %s event log sync: %v", t.ID, err)
-		}
-	}
+	t.flushEventLogLocked()
 	w.I64(t.eventLogBytes)
 	w.Uint(uint64(len(t.events)))
 	for _, e := range t.events {
@@ -123,9 +115,22 @@ func (t *Tenant) marshalState() []byte {
 	return w.Bytes()
 }
 
-// restoreState is the inverse of marshalState. It runs before the
-// tenant's queue exists (no concurrent goroutines), so the atomics are
-// plain stores.
+// syncEventLog makes every written event-log byte durable. It runs
+// outside the shard lock (an fsync must not stall the shard): covering
+// more than the captured mark is harmless, resume truncates to the mark.
+func (t *Tenant) syncEventLog() {
+	t.ringMu.Lock()
+	defer t.ringMu.Unlock()
+	if t.eventLog != nil {
+		if err := t.eventLog.Sync(); err != nil {
+			log.Printf("fleet: tenant %s event log sync: %v", t.ID, err)
+		}
+	}
+}
+
+// restoreState is the inverse of marshalState. It runs in newTenant,
+// before the tenant is reachable (no concurrent goroutines), so the
+// atomics are plain stores.
 func (t *Tenant) restoreState(data []byte) error {
 	r := snapio.NewReader(data)
 	if v := r.U8(); v != tenantSnapVersion && r.Err() == nil {

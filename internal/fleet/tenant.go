@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -13,6 +12,7 @@ import (
 	"time"
 
 	"behaviot/internal/core"
+	"behaviot/internal/jsonenc"
 	"behaviot/internal/modelstore"
 	"behaviot/internal/netparse"
 	"behaviot/internal/pcapio"
@@ -30,23 +30,23 @@ var parseClasses = [...]string{
 	netparse.ClassTruncated, netparse.ClassUnsupported, "other",
 }
 
-// ErrTenantClosed is returned by IngestRecord once a tenant has been
+// ErrTenantClosed is returned by Ingest once a tenant has been
 // removed: ingest sources should stop sending and disconnect.
 var ErrTenantClosed = errors.New("fleet: tenant closed")
 
-// ErrTenantQuarantined is returned by IngestRecord while a tenant is
-// fenced after a panic: sources should disconnect and an operator
-// should POST /tenants/{id}/restart. Distinct from ErrTenantClosed so
-// the listener can tell sources which situation they hit.
+// ErrTenantQuarantined is returned by Ingest while a tenant is fenced
+// after a panic: sources should disconnect and an operator should POST
+// /tenants/{id}/restart. Distinct from ErrTenantClosed so the listener
+// can tell sources which situation they hit.
 var ErrTenantQuarantined = errors.New("fleet: tenant quarantined")
 
 // Tenant is one home's complete monitoring deployment: a private
-// pipeline copy, online monitor, bounded feed queue, recent-event
-// rings, JSONL event log, and a checkpoint store namespaced under the
-// fleet's store root. Nothing in here is shared with any other tenant
-// except the shard lock (a pure serialization domain) and the global
-// packet/buffer pools (whose objects are fully overwritten on reuse) —
-// the isolation the single≡multi byte-identity oracle pins.
+// pipeline copy, online monitor, recent-event rings, JSONL event log,
+// and a checkpoint store namespaced under the fleet's store root. It
+// owns no goroutine: records are ingested on the caller's goroutine
+// (Ingest). Nothing in here is shared with any other tenant except the
+// shard lock (a pure serialization domain) — the isolation the
+// single≡multi byte-identity oracle pins.
 type Tenant struct {
 	// ID is the tenant's stable identifier (validated by
 	// modelstore.ValidTenantID; it names filesystem directories and
@@ -59,40 +59,33 @@ type Tenant struct {
 	d     *Daemon
 
 	// shardMu is the owning shard's lock. Every monitor access —
-	// queue-sink feeds, checkpoints, status sampling — serializes on
-	// it, bounding feed concurrency to the shard count.
+	// ingest, checkpoint capture, status sampling — serializes on it,
+	// bounding feed concurrency to the shard count. Lock order:
+	// shardMu → ringMu → feedHub.mu; ckptMu is taken outside shardMu.
 	shardMu *sync.Mutex
 	monitor *stream.Monitor
 	pipe    *core.Pipeline
-	queue   *stream.Queue
+	pkt     netparse.Packet // every record is decoded into this one packet (guarded by shardMu)
 
-	ringMu     sync.Mutex // guards events, deviations, eventLog, eventLogBytes
+	ringMu     sync.Mutex // guards events, deviations, eventLog, eventLogBytes, logBuf
 	events     []stream.Event
 	deviations []stream.Deviation
 	eventLog   *os.File
-	// eventLogBytes is the event log's durable high-water mark,
+	// eventLogBytes is the event log's written high-water mark,
 	// recorded in checkpoints (same protocol as the single-tenant
-	// daemon).
+	// daemon). logBuf holds an ingest batch's encoded lines until the
+	// batch ends (one Write) or a checkpoint reads the mark.
 	eventLogBytes int64
+	logBuf        []byte
 
-	// Ingest-health counters. received counts records read from ingest
-	// sources (pre-decode); fed counts packets dispatched into the
-	// queue. received == fed + parseErrors at every record boundary.
+	// Ingest-health counters, advanced under shardMu (atomics only so
+	// status readers need no lock). received counts records handed to
+	// Ingest (pre-decode); fed counts packets the monitor consumed.
+	// received == fed + parseErrors at every record boundary.
 	received     atomic.Int64
 	fed          atomic.Int64
 	parseErrors  atomic.Int64
 	parseByClass [len(parseClasses)]atomic.Int64
-
-	// ingestGate makes checkpoints consistent with the received
-	// counter: IngestRecord holds the read side across the
-	// received.Add -> queue.Feed window, and checkpoint holds the
-	// write side across queue.Flush + marshal. Without it a checkpoint
-	// could record a received count that includes a record whose
-	// packet never reached the queue before the flush — a resuming
-	// source that trusts received_records would then skip that record
-	// forever. feedBatch (the queue sink) never takes the gate, so a
-	// reader blocked on queue backpressure cannot deadlock a writer.
-	ingestGate sync.RWMutex
 
 	// Crash-safe checkpointing into the tenant's namespaced store.
 	// ckptMu serializes checkpoints: modelstore writes are not
@@ -109,8 +102,7 @@ type Tenant struct {
 	// but had to start fresh because its store held a broken or
 	// unusable snapshot. A cold start (no snapshot at all) is not a
 	// fallback. resumeFallbackReason is written in newTenant before
-	// the queue exists and read once the event log opens, so it needs
-	// no lock.
+	// the tenant is reachable, so it needs no lock.
 	resumeFallbacks      atomic.Int64
 	resumeFallbackReason string
 
@@ -126,9 +118,6 @@ type Tenant struct {
 	ckptRetryAtUnix   atomic.Int64
 	panics            atomic.Int64
 	restarts          atomic.Int64
-	shedDegraded      atomic.Bool
-	shedTicks         atomic.Int64
-	lastShedSeen      atomic.Int64
 	startUnix         int64
 
 	closed atomic.Bool
@@ -163,10 +152,10 @@ func (d *Daemon) newTenant(id, token string, shardIdx int, resume bool) (*Tenant
 
 	scfg := d.cfg.StreamCfg
 	// The monitor recycles flow storage as soon as the callback
-	// returns; record drops e.Flow before retaining anything.
+	// returns; recordEvent drops e.Flow before retaining anything.
 	scfg.RecycleFlows = true
-	scfg.OnEvent = func(e stream.Event) { t.record(&e, nil) }
-	scfg.OnDeviation = func(dv stream.Deviation) { t.record(nil, &dv) }
+	scfg.OnEvent = t.recordEvent
+	scfg.OnDeviation = t.recordDeviation
 
 	if !resume || !t.tryRestore(scfg) {
 		pipe, err := core.UnmarshalPipeline(d.cfg.PipeSnap)
@@ -186,101 +175,75 @@ func (d *Daemon) newTenant(id, token string, shardIdx int, resume bool) (*Tenant
 	// it there now so operators have a durable trace, not just a
 	// process log line.
 	if t.resumeFallbackReason != "" && t.eventLog != nil {
-		t.ringMu.Lock()
-		t.appendEventLogLocked(eventLogLine{
+		t.logLine(eventLogLine{
 			Type: "resume-fallback", Time: time.Now().UTC(),
 			Device: "-", Detail: t.resumeFallbackReason,
 		})
-		t.ringMu.Unlock()
 	}
-
-	// The queue sink is the tenant's recycle point: feed the batch to
-	// the monitor under the shard lock, then return pooled packets (and
-	// their wire buffers) to the pools. feedBatch is a supervision
-	// boundary: a panic inside the monitor quarantines this tenant and
-	// recycles the batch; neighbors on the same shard keep feeding.
-	t.queue = stream.NewBatchQueue(d.cfg.QueueLen, d.cfg.FeedBatch, t.feedBatch)
 	return t, nil
 }
 
-// feedBatch is the queue sink. The recycle of every packet (and its
-// wire buffer) is unconditional — deferred before anything that can
-// fault — so pool invariants survive a tenant panic (poolcheck R1:
-// balanced on every path). Quarantined tenants drop their batches
-// without touching the monitor: the state may be poisoned, and queue
-// drains during abort must not re-enter it.
-func (t *Tenant) feedBatch(ps []*netparse.Packet) {
-	defer func() {
-		for _, p := range ps {
-			// PutBuf tolerates nil, so the detach-release pair stays
-			// unconditional.
-			pcapio.PutBuf(p.DetachWire())
-			netparse.PutPacket(p)
-		}
-	}()
-	if t.Health() == Quarantined {
-		return
-	}
-	func() {
-		defer t.catchPanic("feed")
-		t.shardMu.Lock()
-		defer t.shardMu.Unlock()
-		if probe := t.d.cfg.PanicProbe; probe != nil {
-			probe(t.ID)
-		}
-		for _, p := range ps {
-			t.monitor.Feed(p)
-		}
-	}()
+// Record is one wire record awaiting ingest. Data is only borrowed for
+// the Ingest call, so a source may point it into its read buffer.
+type Record struct {
+	Time time.Time
+	Data []byte
 }
 
-// IngestRecord decodes one wire record into a pooled packet and feeds
-// it through the tenant's bounded queue (backpressure: the call blocks
-// while the queue is full, which is what pushes back on a socket
-// source). Decode failures are counted per error class and dropped,
-// never fatal. buf, when non-nil, is the pooled record buffer backing
-// data; it travels with the packet to the queue sink (the recycle
-// point) or is recycled here when decode fails.
-func (t *Tenant) IngestRecord(ts time.Time, data []byte, buf *[]byte) (err error) {
-	// Quarantine outranks closed: a restart-failure placeholder is both,
-	// and sources should hear the operator-actionable error.
-	if t.Health() == Quarantined {
-		pcapio.PutBuf(buf)
-		return ErrTenantQuarantined
-	}
-	if t.closed.Load() {
-		pcapio.PutBuf(buf)
-		return ErrTenantClosed
-	}
-	// Ingest is a supervision boundary: a decode/queue panic must
-	// quarantine this tenant, not unwind into the listener and kill
-	// every connection. The packet mid-flight when a panic fires is
-	// abandoned to the GC — pools are caches, not ledgers, and a
-	// quarantine is rare enough that one lost buffer is irrelevant.
+// Ingest decodes recs in order and feeds them to the tenant's monitor
+// on the caller's goroutine, under one acquisition of the shard lock
+// (which is also the backpressure), and returns how many it consumed.
+// Decode failures are counted per error class and dropped, never fatal.
+//
+// Ingest is the tenant's supervision boundary: a panic below it
+// quarantines this tenant, releases the shard lock and surfaces as
+// ErrTenantQuarantined. Closed and quarantined are checked under the
+// lock: close() marks the tenant closed before it takes the lock to
+// finalize the monitor, so no record follows monitor.Close().
+func (t *Tenant) Ingest(recs []Record) (n int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			t.quarantinePanic("ingest", r)
+			t.quarantinePanic("feed", r)
 			err = ErrTenantQuarantined
 		}
 	}()
-	// The gate spans the count -> enqueue window; see ingestGate. The
-	// deferred unlock runs before the recover above, so a panic cannot
-	// leave the gate held.
-	t.ingestGate.RLock()
-	defer t.ingestGate.RUnlock()
-	t.received.Add(1)
-	p := netparse.GetPacket()
-	if derr := netparse.DecodeInto(p, data); derr != nil {
-		t.countParseError(derr)
-		netparse.PutPacket(p)
-		pcapio.PutBuf(buf)
-		return nil
+	t.shardMu.Lock()
+	defer t.shardMu.Unlock()
+	// Quarantine outranks closed: a restart-failure placeholder is both,
+	// and sources should hear the operator-actionable error.
+	if t.Health() == Quarantined {
+		return 0, ErrTenantQuarantined
 	}
-	p.Timestamp = ts
-	p.AttachWire(buf)
-	t.fed.Add(1)
-	t.queue.Feed(p) // sink recycles packet and buffer
-	return nil
+	if t.closed.Load() {
+		return 0, ErrTenantClosed
+	}
+	if probe := t.d.cfg.PanicProbe; probe != nil {
+		probe(t.ID)
+	}
+	for ; n < len(recs); n++ {
+		t.received.Add(1)
+		if derr := netparse.DecodeInto(&t.pkt, recs[n].Data); derr != nil {
+			t.countParseError(derr)
+			continue
+		}
+		t.pkt.Timestamp = recs[n].Time
+		t.fed.Add(1)
+		t.monitor.Feed(&t.pkt)
+	}
+	// Drop the borrowed bytes, then put the batch's log lines on disk.
+	t.pkt.Payload = nil
+	t.ringMu.Lock()
+	t.flushEventLogLocked()
+	t.ringMu.Unlock()
+	return n, nil
+}
+
+// IngestRecord is the one-record form of Ingest. buf, when non-nil, is
+// the pooled record buffer backing data; it is recycled on every path.
+func (t *Tenant) IngestRecord(ts time.Time, data []byte, buf *[]byte) error {
+	_, err := t.Ingest([]Record{{Time: ts, Data: data}})
+	pcapio.PutBuf(buf)
+	return err
 }
 
 func (t *Tenant) countParseError(err error) {
@@ -295,48 +258,49 @@ func (t *Tenant) countParseError(err error) {
 	t.parseByClass[len(parseClasses)-1].Add(1)
 }
 
-// record is the stream callback target. It runs while the shard lock
-// is held by the queue consumer, so it must only take ringMu.
-func (t *Tenant) record(e *stream.Event, d *stream.Deviation) {
+// recordEvent and recordDeviation are the stream callback targets. They
+// run under the shard lock on the ingesting goroutine, so they take only
+// ringMu, then (publish never blocks) the feed hub's lock.
+func (t *Tenant) recordEvent(e stream.Event) {
+	if e.Class != core.EventUser {
+		return
+	}
+	// Drop the flow reference before retaining the event: the monitor
+	// recycles flow storage once this callback returns.
+	e.Flow = nil
 	t.ringMu.Lock()
-	if e != nil && e.Class == core.EventUser {
-		// Drop the flow reference before retaining the event: the
-		// monitor recycles flow storage once this callback returns.
-		e.Flow = nil
-		t.events = append(t.events, *e)
-		if len(t.events) > ringSize {
-			t.events = t.events[len(t.events)-ringSize:]
-		}
-		t.appendEventLogLocked(eventLogLine{
-			Type: "event", Time: e.Time, Device: e.Device,
-			Label: e.Label, Confidence: e.Confidence,
-		})
-	}
-	if d != nil {
-		t.deviations = append(t.deviations, *d)
-		if len(t.deviations) > ringSize {
-			t.deviations = t.deviations[len(t.deviations)-ringSize:]
-		}
-		t.appendEventLogLocked(eventLogLine{
-			Type: "deviation", Time: d.Time, Device: d.Device,
-			Kind: d.Kind.String(), Detail: d.Detail, Score: d.Score,
-		})
-	}
+	t.events = pushRing(t.events, e)
+	t.appendEventLogLocked(eventLogLine{
+		Type: "event", Time: e.Time, Device: e.Device,
+		Label: e.Label, Confidence: e.Confidence,
+	})
 	t.ringMu.Unlock()
-	// Publish to feed subscribers outside ringMu: a slow subscriber
-	// must not stall the shard's feed path (publish never blocks).
-	if e != nil && e.Class == core.EventUser {
-		t.d.publish(FeedItem{
-			Tenant: t.ID, Kind: "event", Time: e.Time, Device: e.Device,
-			Label: e.Label, Confidence: e.Confidence,
-		})
+	t.d.publish(FeedItem{
+		Tenant: t.ID, Kind: "event", Time: e.Time, Device: e.Device,
+		Label: e.Label, Confidence: e.Confidence,
+	})
+}
+
+func (t *Tenant) recordDeviation(d stream.Deviation) {
+	t.ringMu.Lock()
+	t.deviations = pushRing(t.deviations, d)
+	t.appendEventLogLocked(eventLogLine{
+		Type: "deviation", Time: d.Time, Device: d.Device,
+		Kind: d.Kind.String(), Detail: d.Detail, Score: d.Score,
+	})
+	t.ringMu.Unlock()
+	t.d.publish(FeedItem{
+		Tenant: t.ID, Kind: "deviation", Time: d.Time, Device: d.Device,
+		Detail: d.Detail, DevKind: d.Kind.String(), Score: d.Score,
+	})
+}
+
+// pushRing appends v, keeping only the newest ringSize entries.
+func pushRing[T any](ring []T, v T) []T {
+	if ring = append(ring, v); len(ring) > ringSize {
+		ring = ring[len(ring)-ringSize:]
 	}
-	if d != nil {
-		t.d.publish(FeedItem{
-			Tenant: t.ID, Kind: "deviation", Time: d.Time, Device: d.Device,
-			Detail: d.Detail, DevKind: d.Kind.String(), Score: d.Score,
-		})
-	}
+	return ring
 }
 
 // eventLogLine is one JSONL record in a tenant's event log. Field
@@ -377,31 +341,81 @@ func (t *Tenant) openEventLog(path string) error {
 	return nil
 }
 
-// appendEventLogLocked writes one line to the event log. Caller holds ringMu.
+// appendJSON appends the line exactly as json.Marshal renders it
+// (pinned by TestEventLogLineMatchesEncodingJSON), or reports false for
+// a line JSON cannot carry — a non-finite score — leaving dst as it was.
+func (l *eventLogLine) appendJSON(dst []byte) ([]byte, bool) {
+	o := jsonenc.Begin(dst)
+	o.String("type", l.Type)
+	o.Time("time", l.Time)
+	o.String("device", l.Device)
+	o.OptString("label", l.Label)
+	o.OptString("kind", l.Kind)
+	o.OptString("detail", l.Detail)
+	o.OptFloat("confidence", l.Confidence)
+	o.OptFloat("score", l.Score)
+	return o.End()
+}
+
+// appendEventLogLocked encodes one line into logBuf (a line JSON cannot
+// carry is dropped and logged). Caller holds ringMu.
 func (t *Tenant) appendEventLogLocked(line eventLogLine) {
 	if t.eventLog == nil {
 		return
 	}
-	data, err := json.Marshal(line)
-	if err != nil {
-		log.Printf("fleet: tenant %s event log: %v", t.ID, err)
+	buf, ok := line.appendJSON(t.logBuf)
+	if !ok {
+		log.Printf("fleet: tenant %s event log: unencodable %s line (score %v, time %v) dropped",
+			t.ID, line.Type, line.Score, line.Time)
 		return
 	}
-	data = append(data, '\n')
-	if _, err := t.eventLog.Write(data); err != nil {
-		log.Printf("fleet: tenant %s event log: %v", t.ID, err)
+	t.logBuf = append(buf, '\n')
+}
+
+// logLine writes one line through at once (supervision, resume notes).
+func (t *Tenant) logLine(line eventLogLine) {
+	t.ringMu.Lock()
+	t.appendEventLogLocked(line)
+	t.flushEventLogLocked()
+	t.ringMu.Unlock()
+}
+
+// flushEventLogLocked writes logBuf with one Write and advances the
+// high-water mark. Caller holds ringMu.
+func (t *Tenant) flushEventLogLocked() {
+	if len(t.logBuf) == 0 || t.eventLog == nil {
 		return
 	}
-	t.eventLogBytes += int64(len(data))
+	if _, err := t.eventLog.Write(t.logBuf); err != nil {
+		log.Printf("fleet: tenant %s event log: %v", t.ID, err)
+	} else {
+		t.eventLogBytes += int64(len(t.logBuf))
+	}
+	t.logBuf = t.logBuf[:0]
+}
+
+// closeEventLogLocked flushes and closes the log. Caller holds ringMu.
+func (t *Tenant) closeEventLogLocked() {
+	if t.eventLog == nil {
+		return
+	}
+	t.flushEventLogLocked()
+	if err := t.eventLog.Close(); err != nil {
+		log.Printf("fleet: tenant %s event log close: %v", t.ID, err)
+	}
+	t.eventLog = nil
+}
+
+func (t *Tenant) stats() stream.Stats {
+	t.shardMu.Lock()
+	defer t.shardMu.Unlock()
+	return t.monitor.Stats()
 }
 
 // Status returns the tenant's live counters in the /tenants/{id}/status
 // JSON shape (a superset of the single-tenant /status body).
 func (t *Tenant) Status() map[string]any {
-	t.shardMu.Lock()
-	st := t.monitor.Stats()
-	t.shardMu.Unlock()
-	qs := t.queue.Stats()
+	st := t.stats()
 	body := map[string]any{
 		"tenant":           t.ID,
 		"shard":            t.Shard,
@@ -420,10 +434,10 @@ func (t *Tenant) Status() map[string]any {
 		"received_records": t.received.Load(),
 		"fed_records":      t.fed.Load(),
 		"parse_errors":     t.parseErrors.Load(),
-		"queue_depth":      t.queue.Depth(),
-		"queue_fed":        qs.Fed,
-		"queue_shed":       qs.Shed,
-		"queue_waits":      qs.BackpressureWaits,
+		// No queue any more; zeros kept for readers (bench/, soak gates).
+		"queue_depth": 0,
+		"queue_shed":  int64(0),
+		"queue_waits": int64(0),
 	}
 	classes := map[string]int64{}
 	for i, c := range parseClasses {
@@ -475,32 +489,22 @@ func (t *Tenant) Deviations() []stream.Deviation {
 // It only releases what newTenant opened.
 func (t *Tenant) discard() {
 	t.closed.Store(true)
-	t.queue.Close()
 	t.ringMu.Lock()
-	if t.eventLog != nil {
-		if err := t.eventLog.Close(); err != nil {
-			log.Printf("fleet: tenant %s event log close: %v", t.ID, err)
-		}
-		t.eventLog = nil
-	}
+	t.closeEventLogLocked()
 	t.ringMu.Unlock()
 }
 
-// close drains and finalizes the tenant: no new ingest, queue drained
-// into the monitor, a final checkpoint landed, the event log closed.
+// close finalizes the tenant: no new ingest (a batch already under the
+// shard lock finishes first), trailing flows flushed through the
+// monitor, a final checkpoint landed, the event log closed.
 // Quarantined tenants skip finalization entirely — their monitor state
 // may be poisoned by whatever panicked, and their last durable
-// checkpoint is the state worth keeping (queue drains still recycle
-// through feedBatch, which drops batches while quarantined).
-// Idempotent; called by Remove, Restart, and Daemon.Close.
+// checkpoint is the state worth keeping. Idempotent; called by Remove,
+// Restart, and Daemon.Close.
 func (t *Tenant) close() {
 	if t.closed.Swap(true) {
 		return
 	}
-	// Close drains: every packet already accepted reaches the monitor
-	// before it returns. Producers racing the close have their packets
-	// counted as shed and recycled by the queue itself.
-	t.queue.Close()
 	if t.Health() != Quarantined {
 		// Flush trailing flows through classification (same finalization
 		// the single-tenant daemon performs before its final checkpoint).
@@ -517,11 +521,6 @@ func (t *Tenant) close() {
 		t.checkpoint()
 	}
 	t.ringMu.Lock()
-	if t.eventLog != nil {
-		if err := t.eventLog.Close(); err != nil {
-			log.Printf("fleet: tenant %s event log close: %v", t.ID, err)
-		}
-		t.eventLog = nil
-	}
+	t.closeEventLogLocked()
 	t.ringMu.Unlock()
 }

@@ -98,12 +98,18 @@ var poolFuncs = map[string]poolFunc{
 	"(*behaviot/internal/netparse.Packet).DetachWire": {role: roleAcquire, what: "record buffer"},
 	"behaviot/internal/netparse.DecodeInto":           {role: roleBorrow},
 
-	// internal/stream: the queue consumes packets (the sink is the
-	// recycle point; shed/drop paths recycle internally); the monitor
-	// only borrows — it copies what it keeps.
+	// internal/stream: the single-home daemon's queue consumes packets
+	// (the sink is the recycle point; shed/drop paths recycle
+	// internally); the monitor only borrows — it copies what it keeps.
 	"(*behaviot/internal/stream.Queue).Feed":   {role: roleTransfer, arg: 0},
 	"(*behaviot/internal/stream.Queue).Offer":  {role: roleTransfer, arg: 0},
 	"(*behaviot/internal/stream.Monitor).Feed": {role: roleBorrow},
+
+	// internal/fleet: the one-record ingest form recycles the record
+	// buffer it is handed on every path. (The listener's batch path,
+	// Tenant.Ingest, takes no pooled value: it borrows bytes from the
+	// connection's read window.)
+	"(*behaviot/internal/fleet.Tenant).IngestRecord": {role: roleTransfer, arg: 2},
 
 	// internal/flows: the assembler freelist.
 	"(*behaviot/internal/flows.Assembler).newFlow": {role: roleAcquire, what: "flow"},

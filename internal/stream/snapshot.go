@@ -166,7 +166,8 @@ func (m *Monitor) UnmarshalState(data []byte) error {
 	}
 
 	m.clock = clock
-	m.pending = pending
+	m.pending = nil
+	m.hold(pending)
 	m.trace = trace
 	m.traceStart = traceStart
 	m.lastUser = lastUser

@@ -75,8 +75,13 @@ type Monitor struct {
 	assembler *flows.Assembler
 	clock     time.Time // stream time = max packet timestamp seen
 
-	// Pending flows not yet old enough to flush.
-	pending []*flows.Flow
+	// Pending flows not yet old enough to flush. minPendingEnd is the
+	// smallest End among them (meaningless while pending is empty): a
+	// closed burst's End never changes, so until stream time passes
+	// minPendingEnd+FlushAfter no pending flow can be due and drain
+	// skips its walk.
+	pending       []*flows.Flow
+	minPendingEnd time.Time
 
 	// Open user-event trace.
 	trace      pfsm.Trace
@@ -92,7 +97,9 @@ type Monitor struct {
 	// time any silence alarm can fire (zero = unknown, scan on the next
 	// check); silenceIdle short-circuits the check entirely while no
 	// group is armed. Both exist so checkSilence does not walk the
-	// group maps on every packet — a periodic event resets them.
+	// group maps on every packet — a periodic event moves only its own
+	// group's deadline, so classify lowers the bound instead of
+	// discarding it.
 	nextSilence time.Time
 	silenceIdle bool
 
@@ -152,7 +159,7 @@ func (m *Monitor) Feed(p *netparse.Packet) {
 	m.assembler.Add(p)
 	// Collect bursts whose burst gap has passed; hold them until
 	// FlushAfter so late packets cannot reopen them.
-	m.pending = append(m.pending, m.assembler.FlushClosed(m.clock)...)
+	m.hold(m.assembler.FlushClosed(m.clock))
 	m.drain(false)
 	m.checkSilence()
 }
@@ -163,14 +170,14 @@ func (m *Monitor) Tick(now time.Time) {
 	if now.After(m.clock) {
 		m.clock = now
 	}
-	m.pending = append(m.pending, m.assembler.FlushClosed(m.clock)...)
+	m.hold(m.assembler.FlushClosed(m.clock))
 	m.drain(false)
 	m.checkSilence()
 }
 
 // Close flushes everything pending and closes the open trace.
 func (m *Monitor) Close() {
-	m.pending = append(m.pending, m.assembler.Flows()...)
+	m.hold(m.assembler.Flows())
 	m.drain(true)
 	m.closeTrace()
 }
@@ -208,12 +215,30 @@ func (m *Monitor) Stats() Stats {
 	return s
 }
 
+// hold appends closed bursts to pending, keeping minPendingEnd current.
+func (m *Monitor) hold(fs []*flows.Flow) {
+	for _, f := range fs {
+		if len(m.pending) == 0 || f.End.Before(m.minPendingEnd) {
+			m.minPendingEnd = f.End
+		}
+		m.pending = append(m.pending, f)
+	}
+}
+
 // drain classifies pending flows older than FlushAfter (or all of them
-// when force is set).
+// when force is set), in pending order. The walk is skipped while even
+// the oldest pending flow is too young, which is every packet but the
+// few on which something is actually due.
 func (m *Monitor) drain(force bool) {
+	if len(m.pending) == 0 || (!force && m.clock.Sub(m.minPendingEnd) < m.cfg.FlushAfter) {
+		return
+	}
 	keep := m.pending[:0]
 	for _, f := range m.pending {
 		if !force && m.clock.Sub(f.End) < m.cfg.FlushAfter {
+			if len(keep) == 0 || f.End.Before(m.minPendingEnd) {
+				m.minPendingEnd = f.End
+			}
 			keep = append(keep, f)
 			continue
 		}
@@ -230,23 +255,30 @@ func (m *Monitor) classify(f *flows.Flow) {
 	case core.EventPeriodic:
 		m.stats.Periodic++
 		key := f.Key()
+		model := m.pipe.Periodic.Models()[key]
 		// Periodic-event deviation on arrival.
-		if prev, ok := m.lastSeen[key]; ok {
-			if model := m.pipe.Periodic.Models()[key]; model != nil {
-				score := core.PeriodicDeviationMetric(e.Time.Sub(prev).Seconds(), model.Period)
-				if score > m.threshold() {
-					m.emitDeviation(core.Deviation{
-						Kind: core.DevPeriodic, Time: e.Time, Score: score,
-						Device: e.Device, Detail: model.String(),
-					})
-				}
+		if prev, ok := m.lastSeen[key]; ok && model != nil {
+			score := core.PeriodicDeviationMetric(e.Time.Sub(prev).Seconds(), model.Period)
+			if score > m.threshold() {
+				m.emitDeviation(core.Deviation{
+					Kind: core.DevPeriodic, Time: e.Time, Score: score,
+					Device: e.Device, Detail: model.String(),
+				})
 			}
 		}
 		m.lastSeen[key] = e.Time
 		m.silenced[key] = false
-		// Group state changed; force the next silence check to rescan.
-		m.nextSilence = time.Time{}
-		m.silenceIdle = false
+		// Only this group's silence deadline moved, so the cached bound
+		// stays a lower bound on every armed deadline once it is no later
+		// than the new one. An unknown bound (zero, not idle) stays
+		// unknown: the next check rescans anyway.
+		if model != nil && model.Period > 0 {
+			deadline := m.silenceDeadline(e.Time, model.Period)
+			if m.silenceIdle || (!m.nextSilence.IsZero() && deadline.Before(m.nextSilence)) {
+				m.nextSilence = deadline
+			}
+			m.silenceIdle = false
+		}
 	case core.EventUser:
 		m.stats.User++
 		m.extendTrace(e)
@@ -308,11 +340,14 @@ func (m *Monitor) closeTrace() {
 // restore-equivalence tests and snapshot bytes include the counter).
 //
 // The group maps are only walked when some alarm can actually fire: the
-// scan records the earliest armed deadline, and until stream time
-// reaches it (or group state changes) the per-packet call returns
-// immediately. The cached deadline truncates toward zero, so the gate
-// re-scans at or before the float threshold an alarm is compared
-// against — an alarm fires on exactly the packet it always did.
+// scan records the earliest armed deadline (classify lowers it when a
+// periodic event arms an earlier one), and until stream time reaches it
+// the per-packet call returns immediately. The bound may go stale-early
+// — the group that set it has since been seen again — which costs one
+// fruitless rescan, never a late alarm. The cached deadline truncates
+// toward zero, so the gate re-scans at or before the float threshold an
+// alarm is compared against — an alarm fires on exactly the packet it
+// always did.
 func (m *Monitor) checkSilence() {
 	if m.silenceIdle || (!m.nextSilence.IsZero() && m.clock.Before(m.nextSilence)) {
 		return
@@ -357,6 +392,13 @@ func (m *Monitor) checkSilence() {
 	for _, d := range fired {
 		m.emitDeviation(d)
 	}
+}
+
+// silenceDeadline is the gate's view of when a group last seen at last
+// can first alarm. It truncates toward zero, so it is never later than
+// the float threshold checkSilence compares elapsed time against.
+func (m *Monitor) silenceDeadline(last time.Time, period float64) time.Time {
+	return last.Add(time.Duration(m.cfg.SilenceFactor * period * float64(time.Second)))
 }
 
 func (m *Monitor) emitDeviation(d core.Deviation) {
