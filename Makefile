@@ -6,7 +6,7 @@ GO ?= go
 .PHONY: all build test race vet lint lint-cold lint-warm lint-timing \
 	fmt-check check clean \
 	bench bench-json bench-ratchet bench-e2e experiments-quick \
-	experiments-expectations experiments-train fuzz-smoke crash-recovery \
+	experiments-expectations experiments-train fuzz-smoke \
 	fleet-soak fault-soak crash-soak-fleet
 
 # Date stamp for benchmark artifacts (UTC, override with BENCH_DATE=).
@@ -160,13 +160,6 @@ fuzz-smoke:
 	echo "fuzzing FuzzEventLogLineMatchesEncodingJSON ($(FUZZTIME))"; \
 	$(GO) test -run '^$$' -fuzz='^FuzzEventLogLineMatchesEncodingJSON$$' -fuzztime=$(FUZZTIME) ./internal/fleet/
 
-## crash-recovery: kill behaviotd mid-write with SIGKILL, restart with
-## -resume, and require the resumed run's event log and final snapshots
-## to be byte-identical to an uninterrupted run (plus the clean-shutdown
-## final-checkpoint regression); -count=1 forces a fresh run
-crash-recovery:
-	$(GO) test -run 'TestShutdownDrainsFinalCheckpoint|TestCrashRecoveryEquivalence' -count=1 -v ./cmd/behaviotd/
-
 ## fleet-soak: the multi-tenant soak gate, all under -race. Two halves:
 ## the in-process isolation oracle (100 tenants replaying concurrently
 ## must produce byte-identical event logs and snapshots to single-tenant
@@ -207,10 +200,16 @@ fault-soak:
 ## delta chain intact, and no tenant may take a resume fallback. The
 ## in-process half asserts the economics: the same workload
 ## checkpointed differentially must cost <= 40% of the bytes of
-## full-every-time. Set BEHAVIOT_SOAK_DIR to keep artifacts from
-## failing runs for upload; -count=1 forces fresh runs.
+## full-every-time. The same gate covers the fleet of one: a single-home
+## behaviotd replaying a capture is SIGKILLed mid-write between
+## checkpoints, and another SIGTERMed mid-capture; each restarted with
+## -resume must end with an event log and final snapshots byte-identical
+## to an uninterrupted run, and a feeder stopped mid-feed must checkpoint
+## a cursor equal to what its monitor consumed. Set BEHAVIOT_SOAK_DIR to
+## keep artifacts from failing runs for upload; -count=1 forces fresh
+## runs.
 crash-soak-fleet:
-	$(GO) test -race -run 'TestCrashSoakFleet|TestDeltaCheckpointBytesBudget' \
+	$(GO) test -race -run 'TestCrashSoakFleet|TestDeltaCheckpointBytesBudget|TestCrashRecoveryEquivalence|TestSigtermResumeEquivalence|TestShutdownDrainsFinalCheckpoint' \
 		-count=1 -timeout 20m -v ./cmd/behaviotd/ ./internal/fleet/
 
 ## check: everything CI runs

@@ -175,7 +175,6 @@ func TestCrashSoakFleetSigkill(t *testing.T) {
 			"-fleet-eventlog-dir", logDir,
 			"-idle", idle, "-devices", devices,
 			"-store", store, "-checkpoint-interval", ckptIvl,
-			"-queue", "256",
 			"-listen", "127.0.0.1:0",
 		}
 		return append(args, extra...)

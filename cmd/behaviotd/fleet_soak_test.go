@@ -90,7 +90,6 @@ func TestFleetSoakSigtermDrain(t *testing.T) {
 		"-fleet-eventlog-dir", logDir,
 		"-idle", idle, "-devices", devices,
 		"-store", store, "-checkpoint-interval", "1h",
-		"-queue", "256",
 		"-listen", "127.0.0.1:0",
 	)
 	proc.waitForLog(t, "fleet ready", 120*time.Second)

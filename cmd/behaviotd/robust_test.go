@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"log"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -16,16 +18,16 @@ import (
 	"behaviot/internal/chaos"
 	"behaviot/internal/core"
 	"behaviot/internal/datasets"
+	"behaviot/internal/fleet"
 	"behaviot/internal/flows"
-	"behaviot/internal/modelstore"
-	"behaviot/internal/netparse"
-	"behaviot/internal/stream"
 	"behaviot/internal/testbed"
 )
 
-// newTestServer trains a minimal pipeline and wraps it in a daemon
-// server, the shared fixture for the ingest-robustness regressions.
-func newTestServer(t *testing.T) *server {
+// newTestHome trains a minimal pipeline and stands up what runHome
+// does around it — a one-shard daemon holding the tenant homeID, and
+// its feeder — the shared fixture for the in-process regressions.
+// storeRoot "" means no checkpointing; resume restores from it.
+func newTestHome(t *testing.T, storeRoot string, resume bool) (*fleet.Daemon, *feeder) {
 	t.Helper()
 	tb := testbed.New()
 	devices := []*testbed.DeviceProfile{tb.Device("TPLink Plug"), tb.Device("Gosund Bulb")}
@@ -34,12 +36,23 @@ func newTestServer(t *testing.T) *server {
 	if err != nil {
 		t.Fatalf("training fixture pipeline: %v", err)
 	}
-	srv := &server{started: time.Now()}
-	srv.pipe = pipe
-	srv.monitor = stream.NewMonitor(pipe, flows.Config{
-		LocalPrefix: tb.LocalPrefix, DeviceByIP: tb.DeviceByIP(),
-	}, stream.Config{})
-	return srv
+	d, err := fleet.New(fleet.Config{
+		Shards:       1,
+		PipeSnap:     core.MarshalPipeline(pipe),
+		Fingerprint:  "behaviotd-test/v1",
+		AssemblerCfg: flows.Config{LocalPrefix: tb.LocalPrefix, DeviceByIP: tb.DeviceByIP()},
+		StoreRoot:    storeRoot,
+		Resume:       resume,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() }) //lint:ignore errcheck fleet.Close always returns nil
+	home, err := d.Add(homeID, "in-process")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, &feeder{home: home, stop: make(chan struct{})}
 }
 
 // writeCorruptedCapture generates a synthetic capture, damages ~rate of
@@ -76,85 +89,113 @@ func TestFeedCorruptedCaptureTolerant(t *testing.T) {
 	defer log.SetOutput(os.Stderr)
 
 	path, total := writeCorruptedCapture(t, 0.01)
-	srv := newTestServer(t)
-	srv.tolerant = true
-	if err := srv.feedPcapFile(path, 0); err != nil {
+	_, f := newTestHome(t, "", false)
+	if err := f.run(options{replay: path, tolerant: true}, chaos.Config{}); err != nil {
 		t.Fatalf("tolerant feed of corrupted capture failed: %v", err)
 	}
 
-	st := srv.monitor.Stats()
-	damage := srv.parseErrors.Load() + srv.skippedRecords.Load()
+	st := f.home.Status()
+	packets, parseErrors := st["packets"].(int64), st["parse_errors"].(int64)
+	damage := parseErrors + f.droppedRecords.Load()
 	if damage == 0 {
 		t.Error("1% corruption produced no parse errors and no dropped records; counters are dead")
 	}
-	if st.Packets == 0 {
+	if packets == 0 {
 		t.Error("no packets survived the tolerant feed; resync is not recovering")
 	}
-	if st.Packets+damage < int64(total)/2 {
+	if packets+damage < int64(total)/2 {
 		t.Errorf("accounted for %d of %d records (fed %d, damaged %d); tolerant reader is losing sync",
-			st.Packets+damage, total, st.Packets, damage)
+			packets+damage, total, packets, damage)
+	}
+	if received := st["received_records"].(int64); received != packets+parseErrors {
+		t.Errorf("received %d records but monitor packets %d + parse errors %d", received, packets, parseErrors)
 	}
 	t.Logf("total=%d fed=%d parse_errors=%d dropped_records=%d skipped_bytes=%d",
-		total, st.Packets, srv.parseErrors.Load(), srv.skippedRecords.Load(), srv.skippedBytes.Load())
+		total, packets, parseErrors, f.droppedRecords.Load(), f.droppedBytes.Load())
 }
 
 // TestFeedCorruptedCaptureStrictFails pins the pre-hardening contract:
 // without -tolerant, a damaged capture aborts the feed with an error
-// (which main turns into a nonzero exit) instead of silently munging.
+// (which runHome turns into a nonzero exit) instead of silently munging.
 func TestFeedCorruptedCaptureStrictFails(t *testing.T) {
 	log.SetOutput(io.Discard)
 	defer log.SetOutput(os.Stderr)
 
 	path, _ := writeCorruptedCapture(t, 0.01)
-	srv := newTestServer(t)
-	if err := srv.feedPcapFile(path, 0); err == nil {
-		t.Error("strict feed of corrupted capture returned nil; want a hard error")
+	_, f := newTestHome(t, "", false)
+	err := f.run(options{replay: path}, chaos.Config{})
+	if err == nil {
+		t.Fatal("strict feed of corrupted capture returned nil; want a hard error")
+	}
+	if !strings.Contains(err.Error(), path) {
+		t.Errorf("feed error %q does not name the capture", err)
 	}
 }
 
 // TestMetricsReportIngestDamage feeds the corrupted capture and asserts
-// the damage is visible on /metrics — the acceptance criterion for the
-// degrade-gracefully path.
+// the damage is visible on single-home's HTTP surface — the acceptance
+// criterion for the degrade-gracefully path — and that the root aliases
+// answer for the one tenant.
 func TestMetricsReportIngestDamage(t *testing.T) {
 	log.SetOutput(io.Discard)
 	defer log.SetOutput(os.Stderr)
 
 	path, _ := writeCorruptedCapture(t, 0.01)
-	srv := newTestServer(t)
-	srv.tolerant = true
-	srv.queue = stream.NewQueue(64, func(p *netparse.Packet) {
-		srv.mu.Lock()
-		srv.monitor.Feed(p)
-		srv.mu.Unlock()
-	})
-	if err := srv.feedPcapFile(path, 0); err != nil {
+	d, f := newTestHome(t, "", false)
+	if err := f.run(options{replay: path, tolerant: true}, chaos.Config{}); err != nil {
 		t.Fatalf("tolerant feed: %v", err)
 	}
+	ts := httptest.NewServer(homeMux(d, f, true))
+	defer ts.Close()
 
-	rec := httptest.NewRecorder()
-	srv.handleMetrics(rec, httptest.NewRequest("GET", "/metrics", nil))
-	body := rec.Body.String()
-	damage := metricValue(t, body, "behaviot_parse_errors_total") +
+	body := httpGet(t, ts.URL+"/metrics")
+	damage := metricValue(t, body, `behaviot_tenant_parse_errors_total{tenant="home"}`) +
 		metricValue(t, body, "behaviot_dropped_records_total")
 	if damage == 0 {
 		t.Errorf("/metrics reports no parse errors or dropped records for a corrupted capture:\n%s", body)
 	}
-	if metricValue(t, body, "behaviot_packets_total") == 0 {
+	if metricValue(t, body, `behaviot_tenant_packets_total{tenant="home"}`) == 0 {
 		t.Errorf("/metrics reports zero packets; feed did not reach the monitor:\n%s", body)
 	}
-	if !strings.Contains(body, "behaviot_queue_dropped_total") {
-		t.Error("/metrics missing queue counters while -queue is active")
+	if got, want := metricValue(t, body, "behaviot_dropped_record_bytes_total"), f.droppedBytes.Load(); got != want {
+		t.Errorf("behaviot_dropped_record_bytes_total = %d, reader skipped %d bytes", got, want)
 	}
 
-	rec = httptest.NewRecorder()
-	srv.handleStatus(rec, httptest.NewRequest("GET", "/status", nil))
-	status := rec.Body.String()
-	if !strings.Contains(status, "parse_errors") || !strings.Contains(status, "dropped_records") {
-		t.Errorf("/status missing ingest-health counters:\n%s", status)
+	var status map[string]any
+	if err := json.Unmarshal([]byte(httpGet(t, ts.URL+"/status")), &status); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"tenant", "packets", "parse_errors", "dropped_records", "tolerant", "uptime_seconds"} {
+		if _, ok := status[key]; !ok {
+			t.Errorf("/status missing %q: %v", key, status)
+		}
+	}
+	for _, alias := range []string{"/events", "/deviations"} {
+		if got, want := httpGet(t, ts.URL+alias), httpGet(t, ts.URL+"/tenants/"+homeID+alias); got != want {
+			t.Errorf("%s answers %q, the tenant endpoint %q", alias, got, want)
+		}
 	}
 }
 
-// metricValue extracts a counter value from Prometheus text exposition.
+func httpGet(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s = %d: %s", url, resp.StatusCode, body)
+	}
+	return string(body)
+}
+
+// metricValue extracts one series' value from Prometheus text
+// exposition; name includes the label set, if any.
 func metricValue(t *testing.T, body, name string) int64 {
 	t.Helper()
 	re := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(name) + ` (\d+)$`)
@@ -190,42 +231,78 @@ func TestPreflightPcapRejectsUnreadable(t *testing.T) {
 	}
 }
 
-// TestMetricsCheckpointAgeGauge pins the checkpoint-age gauge contract:
-// the gauge is absent from /metrics until the first checkpoint lands
-// (an age computed from the zero timestamp would read as decades of
-// staleness and trip any freshness alert at startup), and reports a
-// sane small age once one has.
+// TestMetricsCheckpointAgeGauge pins the checkpoint-age contract on
+// single-home's surface: /status carries no last_checkpoint_age_seconds
+// until the first checkpoint lands (an age computed from the zero
+// timestamp would read as decades of staleness and trip any freshness
+// alert at startup), and once one has, /status and the /metrics gauge
+// both report a sane small age.
 func TestMetricsCheckpointAgeGauge(t *testing.T) {
-	srv := newTestServer(t)
-	var err error
-	srv.store, err = modelstore.Open(t.TempDir(), modelstore.Options{})
-	if err != nil {
-		t.Fatalf("opening store: %v", err)
+	d, f := newTestHome(t, t.TempDir(), false)
+	ts := httptest.NewServer(homeMux(d, f, false))
+	defer ts.Close()
+	status := func() map[string]any {
+		var st map[string]any
+		if err := json.Unmarshal([]byte(httpGet(t, ts.URL+"/status")), &st); err != nil {
+			t.Fatal(err)
+		}
+		return st
 	}
 
-	scrape := func() string {
-		rec := httptest.NewRecorder()
-		srv.handleMetrics(rec, httptest.NewRequest("GET", "/metrics", nil))
-		return rec.Body.String()
+	const key = "last_checkpoint_age_seconds"
+	if st := status(); st[key] != nil {
+		t.Errorf("%s exposed before any checkpoint: %v", key, st[key])
 	}
+	f.home.Checkpoint()
+	age, ok := status()[key].(float64)
+	if !ok || age < 0 || age > 120 {
+		t.Errorf("%s = %v after a checkpoint, want a small age", key, status()[key])
+	}
+	const gauge = `behaviot_tenant_checkpoint_age_seconds{tenant="home"}`
+	if v := metricValue(t, httpGet(t, ts.URL+"/metrics"), gauge); v > 120 {
+		t.Errorf("%s = %d after a checkpoint, want a small age", gauge, v)
+	}
+}
 
-	const gauge = "behaviot_last_checkpoint_age_seconds"
-	if body := scrape(); strings.Contains(body, gauge) {
-		t.Errorf("%s exposed before any checkpoint:\n%s", gauge, body)
-	}
-
-	srv.lastCkptUnix.Store(time.Now().Add(-2 * time.Second).UnixNano())
-	body := scrape()
-	re := regexp.MustCompile(`(?m)^` + gauge + ` ([0-9.e+-]+)$`)
-	m := re.FindStringSubmatch(body)
-	if m == nil {
-		t.Fatalf("%s missing after a checkpoint:\n%s", gauge, body)
-	}
-	age, err := strconv.ParseFloat(m[1], 64)
-	if err != nil {
-		t.Fatalf("parsing %s value %q: %v", gauge, m[1], err)
-	}
-	if age < 1 || age > 120 {
-		t.Errorf("%s = %v, want roughly 2s", gauge, age)
+// TestLoadDevicesHeaderSkip pins the manifest reader: the first
+// non-blank row is the header wherever it sits, CRLF endings are
+// tolerated, and a row without a comma is skipped rather than fatal.
+func TestLoadDevicesHeaderSkip(t *testing.T) {
+	for _, tc := range []struct {
+		name, csv string
+		want      int
+		wantErr   string
+	}{
+		{"plain", "ip,name\n192.168.0.2,plug\n192.168.0.3,bulb\n", 2, ""},
+		{"leading blank line", "\nip,name\n192.168.0.2,plug\n", 1, ""},
+		{"blank lines throughout", "\n\nip,name\n\n192.168.0.2,plug\n\n", 1, ""},
+		{"crlf", "ip,name\r\n192.168.0.2,plug\r\n192.168.0.3,bulb\r\n", 2, ""},
+		{"short row", "ip,name\n192.168.0.2\n192.168.0.3,bulb\n", 1, ""},
+		{"extra columns", "ip,name,mac,notes\n192.168.0.2,plug,aa:bb,x,y\n", 1, ""},
+		{"bad ip after header", "ip,name\nnot-an-ip,plug\n", 0, `bad IP "not-an-ip"`},
+	} {
+		path := filepath.Join(t.TempDir(), "devices.csv")
+		if err := os.WriteFile(path, []byte(tc.csv), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := loadDevices(path)
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if len(got) != tc.want {
+			t.Errorf("%s: %d devices, want %d: %v", tc.name, len(got), tc.want, got)
+		}
+		for _, name := range got {
+			if name != "plug" && name != "bulb" {
+				t.Errorf("%s: device named %q; a header or stray column leaked in", tc.name, name)
+			}
+		}
 	}
 }

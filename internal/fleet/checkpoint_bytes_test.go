@@ -39,7 +39,7 @@ func TestDeltaCheckpointBytesBudget(t *testing.T) {
 		}
 		for i := 0; i < steps; i++ {
 			ingestAll(t, tn, recs[i*chunk:(i+1)*chunk])
-			tn.checkpoint()
+			tn.Checkpoint()
 		}
 		ws := tn.store.Stats() // before Close lands its extra final checkpoint
 		if err := d.Close(); err != nil {

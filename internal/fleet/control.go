@@ -12,15 +12,16 @@ import (
 
 // RegisterHandlers mounts the fleet control plane on a mux:
 //
-//	GET    /tenants               list tenants (id, shard, live counters)
-//	POST   /tenants               add a tenant: {"id": ..., "token": ...}
-//	DELETE /tenants/{id}          drain and remove a tenant
-//	GET    /tenants/{id}/status   one tenant's full status JSON
-//	GET    /tenants/{id}/events   one tenant's recent user events
-//	POST   /tenants/{id}/restart  rebuild a tenant from its last checkpoint
-//	GET    /metrics               Prometheus text, tenant-labeled series
-//	GET    /healthz               fleet health rollup (degraded/quarantined)
-//	GET    /feed                  SSE stream of events and deviations
+//	GET    /tenants                 list tenants (id, shard, live counters)
+//	POST   /tenants                 add a tenant: {"id": ..., "token": ...}
+//	DELETE /tenants/{id}            drain and remove a tenant
+//	GET    /tenants/{id}/status     one tenant's full status JSON
+//	GET    /tenants/{id}/events     one tenant's recent user events
+//	GET    /tenants/{id}/deviations one tenant's recent deviations
+//	POST   /tenants/{id}/restart    rebuild a tenant from its last checkpoint
+//	GET    /metrics                 Prometheus text, tenant-labeled series
+//	GET    /healthz                 fleet health rollup (degraded/quarantined)
+//	GET    /feed                    SSE stream of events and deviations
 //
 // Add, Remove, and Restart take effect live — no process restart, no
 // disturbance to other tenants' ingest.
@@ -30,6 +31,7 @@ func (d *Daemon) RegisterHandlers(mux *http.ServeMux) {
 	mux.HandleFunc("DELETE /tenants/{id}", d.handleRemoveTenant)
 	mux.HandleFunc("GET /tenants/{id}/status", d.handleTenantStatus)
 	mux.HandleFunc("GET /tenants/{id}/events", d.handleTenantEvents)
+	mux.HandleFunc("GET /tenants/{id}/deviations", d.handleTenantDeviations)
 	mux.HandleFunc("POST /tenants/{id}/restart", d.handleRestartTenant)
 	mux.HandleFunc("GET /metrics", d.handleMetrics)
 	mux.HandleFunc("GET /healthz", d.handleHealthz)
@@ -87,7 +89,7 @@ func (d *Daemon) handleAddTenant(w http.ResponseWriter, r *http.Request) {
 		// and must not masquerade as a 400.
 		status := http.StatusInternalServerError
 		switch {
-		case errors.Is(err, ErrTenantExists):
+		case errors.Is(err, ErrTenantExists), errors.Is(err, ErrOneEventLog):
 			status = http.StatusConflict
 		case errors.Is(err, ErrBadTenantID),
 			errors.Is(err, ErrTokenRequired),
@@ -190,6 +192,23 @@ func (d *Daemon) handleTenantEvents(w http.ResponseWriter, r *http.Request) {
 		out[i] = map[string]any{
 			"time": e.Time, "device": e.Device,
 			"label": e.Label, "confidence": e.Confidence,
+		}
+	}
+	writeJSON(w, http.StatusOK, out)
+}
+
+func (d *Daemon) handleTenantDeviations(w http.ResponseWriter, r *http.Request) {
+	t := d.Get(r.PathValue("id"))
+	if t == nil {
+		writeError(w, http.StatusNotFound, ErrTenantUnknown)
+		return
+	}
+	deviations := t.Deviations()
+	out := make([]map[string]any, len(deviations))
+	for i, dv := range deviations {
+		out[i] = map[string]any{
+			"time": dv.Time, "kind": dv.Kind.String(), "device": dv.Device,
+			"score": dv.Score, "detail": dv.Detail,
 		}
 	}
 	writeJSON(w, http.StatusOK, out)

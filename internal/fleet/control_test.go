@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -92,6 +93,32 @@ func TestControlAddRemoveUnderLiveIngest(t *testing.T) {
 				return
 			}
 			sent.Add(1)
+		}
+	}()
+	// Its rings are read over REST all the while (class 0 writes both):
+	// under -race this is the ring-lock check.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, ring := range []string{"events", "deviations"} {
+				resp, err := http.Get(ts.URL + "/tenants/steady/" + ring)
+				if err != nil {
+					t.Errorf("GET %s: %v", ring, err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body) //lint:ignore errcheck body is discarded
+				resp.Body.Close()              //lint:ignore errcheck test response teardown
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("GET %s = %d", ring, resp.StatusCode)
+					return
+				}
+			}
 		}
 	}()
 
@@ -187,6 +214,23 @@ func TestControlAddErrorStatuses(t *testing.T) {
 	}
 	if resp, body := doJSON(t, http.MethodPost, ts.URL+"/tenants", map[string]string{"id": "busted", "token": "x"}); resp.StatusCode != http.StatusInternalServerError {
 		t.Errorf("I/O-failure POST = %d, want 500: %s", resp.StatusCode, body)
+	}
+
+	// A daemon whose event log is one named file (behaviotd -eventlog)
+	// holds one tenant: a second would interleave into the same log.
+	one := cfg
+	one.EventLogDir, one.EventLogFile = "", filepath.Join(t.TempDir(), "events.jsonl")
+	single, err := New(one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close() //lint:ignore errcheck fleet.Close always returns nil; deferred for cleanup only
+	singleTS := newControlServer(t, single)
+	for i, want := range []int{http.StatusCreated, http.StatusConflict} {
+		body := map[string]string{"id": fmt.Sprintf("only-%d", i), "token": "x"}
+		if resp, msg := doJSON(t, http.MethodPost, singleTS.URL+"/tenants", body); resp.StatusCode != want {
+			t.Errorf("EventLogFile daemon, POST %d = %d, want %d: %s", i, resp.StatusCode, want, msg)
+		}
 	}
 
 	if err := d.Close(); err != nil {
@@ -363,8 +407,9 @@ func TestControlFeedStreamsEvents(t *testing.T) {
 	t.Fatalf("feed ended without an item: %v", sc.Err())
 }
 
-// TestControlTenantEvents pins /tenants/{id}/events: recent user events
-// from a real replay, as JSON.
+// TestControlTenantEvents pins /tenants/{id}/events and
+// /tenants/{id}/deviations: the tenant's recent rings from a real
+// replay, as JSON, and 404 for a tenant that is not registered.
 func TestControlTenantEvents(t *testing.T) {
 	fx := getFixture(t)
 	d, err := New(baseConfig(t, fx, 1, t.TempDir()))
@@ -377,26 +422,39 @@ func TestControlTenantEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Class 0 reliably produces one user event (pinned by the debug
-	// stats behind the fixture design).
+	// Class 0 reliably produces one user event and, its bulb dying
+	// mid-window, silence deviations (pinned by the debug stats behind
+	// the fixture design).
 	ingestAll(t, tn, fx.classes[0])
 
-	resp, body := doJSON(t, http.MethodGet, ts.URL+"/tenants/home-1/events", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET events = %d", resp.StatusCode)
-	}
-	var events []map[string]any
-	if err := json.Unmarshal(body, &events); err != nil {
-		t.Fatal(err)
-	}
-	if len(events) == 0 {
-		t.Fatalf("no events returned; tenant ring has %d", len(tn.Events()))
-	}
-	for _, e := range events {
-		for _, key := range []string{"time", "device", "label", "confidence"} {
-			if _, ok := e[key]; !ok {
-				t.Errorf("event missing %q: %v", key, e)
+	for _, tc := range []struct {
+		ring string
+		held int
+		keys []string
+	}{
+		{"events", len(tn.Events()), []string{"time", "device", "label", "confidence"}},
+		{"deviations", len(tn.Deviations()), []string{"time", "kind", "device", "score", "detail"}},
+	} {
+		resp, body := doJSON(t, http.MethodGet, ts.URL+"/tenants/home-1/"+tc.ring, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s = %d", tc.ring, resp.StatusCode)
+		}
+		var items []map[string]any
+		if err := json.Unmarshal(body, &items); err != nil {
+			t.Fatal(err)
+		}
+		if len(items) == 0 || len(items) != tc.held {
+			t.Fatalf("GET %s returned %d items; tenant ring has %d", tc.ring, len(items), tc.held)
+		}
+		for _, it := range items {
+			for _, key := range tc.keys {
+				if _, ok := it[key]; !ok {
+					t.Errorf("%s item missing %q: %v", tc.ring, key, it)
+				}
 			}
+		}
+		if resp, _ := doJSON(t, http.MethodGet, ts.URL+"/tenants/nobody/"+tc.ring, nil); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s of an unknown tenant = %d, want 404", tc.ring, resp.StatusCode)
 		}
 	}
 }

@@ -132,7 +132,7 @@ func TestNonFiniteScoreLineIsDroppedEverywhere(t *testing.T) {
 		tn.recordDeviation(stream.Deviation{Kind: core.DevShortTerm, Time: when, Score: score,
 			Device: "Gosund Bulb", Detail: fmt.Sprintf("trace %d", i)})
 	}
-	tn.checkpoint() // flushes the buffered lines and records the mark
+	tn.Checkpoint() // flushes the buffered lines and records the mark
 
 	data, err := os.ReadFile(filepath.Join(dir, "logs", "home-1.jsonl"))
 	if err != nil {

@@ -100,7 +100,7 @@ func TestFaultSoakPanicIsolation(t *testing.T) {
 	// Phase 1: the victim replays its first half and lands a durable
 	// checkpoint — the state its restart must resume from.
 	ingestAll(t, victim, victimClass[:half])
-	victim.checkpoint()
+	victim.Checkpoint()
 	if victim.storeGen.Load() == 0 {
 		t.Fatal("victim checkpoint did not land")
 	}
@@ -357,6 +357,14 @@ func TestFaultSoakCheckpointRetry(t *testing.T) {
 	waitFor(t, "retry to land a durable checkpoint", func() bool {
 		return victim.storeGen.Load() > preFault && victim.Health() == Healthy
 	})
+	// Success clears the streak and the retry schedule; the lifetime
+	// counter is monotonic and stays on /status.
+	if streak, retryAt := victim.ckptFailures.Load(), victim.ckptRetryAtUnix.Load(); streak != 0 || retryAt != 0 {
+		t.Errorf("after recovery: failure streak %d, retry scheduled at %d; want both cleared", streak, retryAt)
+	}
+	if got := victim.Status()["checkpoint_failures_total"].(int64); got < 1 {
+		t.Errorf("checkpoint_failures_total = %d after recovery, want the fault window's failures kept", got)
+	}
 
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -420,7 +428,7 @@ func TestCheckpointPanicReleasesShardLock(t *testing.T) {
 		t.Fatal(err)
 	}
 	ingestAll(t, victim, fx.classes[0][:100])
-	victim.checkpoint()
+	victim.Checkpoint()
 	if victim.storeGen.Load() < 1 {
 		t.Fatal("no clean generation before the induced panic")
 	}
@@ -430,7 +438,7 @@ func TestCheckpointPanicReleasesShardLock(t *testing.T) {
 	victim.shardMu.Lock()
 	victim.monitor = nil
 	victim.shardMu.Unlock()
-	victim.checkpoint()
+	victim.Checkpoint()
 
 	if h := victim.Health(); h != Quarantined {
 		t.Fatalf("victim health after checkpoint panic = %v, want quarantined", h)
@@ -442,7 +450,7 @@ func TestCheckpointPanicReleasesShardLock(t *testing.T) {
 
 	// Neighbors on the same shard keep checkpointing.
 	ingestAll(t, neighbor, fx.classes[1][:100])
-	neighbor.checkpoint()
+	neighbor.Checkpoint()
 	if neighbor.storeGen.Load() < 1 {
 		t.Error("neighbor could not land a checkpoint after the victim's panic")
 	}
@@ -506,7 +514,7 @@ func TestRestartFailureLeavesQuarantinedPlaceholder(t *testing.T) {
 		t.Fatal(err)
 	}
 	ingestAll(t, tn, fx.classes[0][:100])
-	tn.checkpoint()
+	tn.Checkpoint()
 	tn.forceQuarantine("test-induced")
 
 	// Break the rebuild: the new incarnation cannot open its event log.

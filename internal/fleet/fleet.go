@@ -26,9 +26,8 @@ type Config struct {
 	// bytes). Every tenant unmarshals a private copy, so tenants share
 	// trained knowledge but never mutable model state. Required.
 	PipeSnap []byte
-	// Fingerprint ties tenant checkpoints to the training inputs. The
-	// format is unchanged from the single-tenant daemon — tenancy is
-	// expressed in store paths, not fingerprints.
+	// Fingerprint ties tenant checkpoints to the training inputs.
+	// Tenancy is expressed in store paths, not fingerprints.
 	Fingerprint string
 	// AssemblerCfg configures each tenant's flow assembler.
 	AssemblerCfg flows.Config
@@ -42,6 +41,10 @@ type Config struct {
 	// EventLogDir, when set, gives each tenant a JSONL event log at
 	// EventLogDir/<id>.jsonl.
 	EventLogDir string
+	// EventLogFile, when set, names the event log outright instead. It is
+	// for the fleet of one that `behaviotd -eventlog FILE` runs; two
+	// tenants must never share a log, so Add refuses a second one.
+	EventLogFile string
 	// CheckpointInterval, when positive, makes each shard's
 	// housekeeping worker land periodic checkpoints for its tenants.
 	// Zero means final checkpoints only (at Remove/Close).

@@ -273,7 +273,7 @@ func TestDuplicateAddLeavesLiveTenantIntact(t *testing.T) {
 		Kind: core.DevPeriodic, Device: "Gosund Bulb",
 		Detail: "went dark", Time: time.Unix(0, 0).UTC(),
 	})
-	tn.checkpoint()
+	tn.Checkpoint()
 	genBefore := tn.storeGen.Load()
 	logPath := filepath.Join(cfg.EventLogDir, "home-1.jsonl")
 	logBefore, err := os.ReadFile(logPath)
@@ -405,7 +405,7 @@ func TestTenantRemoveResume(t *testing.T) {
 	}
 
 	// Scribble past the checkpointed high-water mark: resume must
-	// truncate the scribble away, exactly like the single-tenant daemon.
+	// truncate the scribble away.
 	f, err := os.OpenFile(logPath, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -440,6 +440,75 @@ func TestTenantRemoveResume(t *testing.T) {
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSuspendResumeMatchesUninterrupted pins the stop-mid-capture seam:
+// a tenant Suspended between two records and resumed in a new daemon
+// must end with the event log and snapshots of a tenant that was never
+// stopped, wherever the stop falls. Suspend checkpoints the monitor as
+// it stands; had it finalized (as close does), the flows open at the
+// stop point would have been flushed early and monitor.snap would
+// differ at most of these cuts.
+func TestSuspendResumeMatchesUninterrupted(t *testing.T) {
+	fx := getFixture(t)
+	const class = 0
+	ref := runReference(t, fx, class)
+	recs := fx.classes[class]
+
+	for cut := len(recs) / 9; cut < len(recs); cut += len(recs) / 9 {
+		cfg := baseConfig(t, fx, 1, t.TempDir())
+		cfg.Resume = true
+		open := func() (*Daemon, *Tenant) {
+			d, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tn, err := d.Add("ref", "tok")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d, tn
+		}
+		d, tn := open()
+		ingestAll(t, tn, recs[:cut])
+		tn.Suspend()
+		if err := tn.IngestRecord(recs[cut].Time, recs[cut].Data, nil); !errors.Is(err, ErrTenantClosed) {
+			t.Fatalf("cut %d: ingest after Suspend = %v, want ErrTenantClosed", cut, err)
+		}
+		if err := d.Close(); err != nil { // the suspended tenant is already settled: Close adds nothing
+			t.Fatal(err)
+		}
+		d, tn = open()
+		if got := tn.received.Load(); got != int64(cut) {
+			t.Fatalf("cut %d: resumed at record %d", cut, got)
+		}
+		ingestAll(t, tn, recs[cut:])
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		logData, err := os.ReadFile(filepath.Join(cfg.EventLogDir, "ref.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(logData, ref.eventLog) {
+			t.Errorf("cut %d: event log differs from the uninterrupted run:\n%s\n--- want ---\n%s", cut, logData, ref.eventLog)
+		}
+		s, err := modelstore.OpenTenant(cfg.StoreRoot, "ref", modelstore.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := s.Load(cfg.Fingerprint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range oracleFiles {
+			if !bytes.Equal(snap.Files[name], ref.files[name]) {
+				t.Errorf("cut %d: final %s differs from the uninterrupted run (%d vs %d bytes)",
+					cut, name, len(snap.Files[name]), len(ref.files[name]))
+			}
+		}
 	}
 }
 

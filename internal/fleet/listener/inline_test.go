@@ -350,8 +350,9 @@ func TestInlineIngestAllocatesNothing(t *testing.T) {
 
 // TestConcurrentSourcesOneTenant is the -race gate for ingesting on the
 // connection goroutine: two connections feed ONE tenant while interval
-// checkpoints land, Status and GET /tenants are polled, and the tenant
-// is restarted and finally removed mid-stream. It pins exact acks for
+// checkpoints land, Status, GET /tenants and the tenant's event and
+// deviation rings are polled, and the tenant is restarted and finally
+// removed mid-stream. It pins exact acks for
 // streams that complete, received == fed + parse_errors on every
 // incarnation, a restart that resumes from exactly the records its
 // predecessor consumed, and that no batch enters a tenant after Remove
@@ -410,13 +411,18 @@ func TestConcurrentSourcesOneTenant(t *testing.T) {
 					t.Error("queue_depth is not 0")
 				}
 			}
-			resp, err := http.Get(ts.URL + "/tenants")
-			if err != nil {
-				t.Errorf("GET /tenants: %v", err)
-				return
+			// The ring reads race the ingesting connections' recordEvent /
+			// recordDeviation appends unless ringMu covers both sides; 404
+			// once home-1 is removed is fine.
+			for _, path := range []string{"/tenants", "/tenants/home-1/events", "/tenants/home-1/deviations"} {
+				resp, err := http.Get(ts.URL + path)
+				if err != nil {
+					t.Errorf("GET %s: %v", path, err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body) //lint:ignore errcheck body is discarded
+				resp.Body.Close()              //lint:ignore errcheck test response teardown
 			}
-			io.Copy(io.Discard, resp.Body) //lint:ignore errcheck body is discarded
-			resp.Body.Close()              //lint:ignore errcheck test response teardown
 		}
 	}()
 	checkBalance := func(what string, tn *fleet.Tenant) (received int64) {
@@ -463,6 +469,9 @@ func TestConcurrentSourcesOneTenant(t *testing.T) {
 	}
 	wg.Wait()
 	round1 := int64(2 * len(fx.recs))
+	if len(tn.Deviations()) == 0 {
+		t.Error("round 1 raised no deviation: the pollers' ring reads raced nothing")
+	}
 	if got := checkBalance("round 1", tn); got != round1 {
 		t.Errorf("round 1: received %d, want %d", got, round1)
 	}

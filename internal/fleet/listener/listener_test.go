@@ -42,11 +42,15 @@ func getFixture(t *testing.T) *listenerFixture {
 		t.Fatal(err)
 	}
 	g := testbed.NewGenerator(tb, 7)
-	plug := tb.Device("TPLink Plug")
+	plug, bulb := tb.Device("TPLink Plug"), tb.Device("Gosund Bulb")
 	start := datasets.DefaultStart.Add(3 * 24 * time.Hour)
+	// The bulb dies after half an hour, so silence deviations reach the
+	// tenant's ring and event log while the plug's traffic continues.
 	pkts := testbed.MergePackets(
 		g.BootstrapDNS(plug, start.Add(-time.Minute)),
+		g.BootstrapDNS(bulb, start.Add(-50*time.Second)),
 		g.PeriodicWindow(plug, start, start.Add(2*time.Hour)),
+		g.PeriodicWindow(bulb, start, start.Add(30*time.Minute)),
 	)
 	recs, err := datasets.EncodePackets(pkts)
 	if err != nil {

@@ -21,6 +21,7 @@ var (
 	ErrTokenRequired  = errors.New("fleet: ingest token must not be empty")
 	ErrCrashLoop      = errors.New("fleet: tenant exceeded crash-loop budget")
 	ErrTenantBusy     = errors.New("fleet: tenant busy")
+	ErrOneEventLog    = errors.New("fleet: the daemon's single event log file already has its tenant")
 	errTokenHasSpace  = errors.New("fleet: ingest token must not contain spaces or newlines")
 	errTenantFileForm = errors.New("fleet: tenants file line is not `id,token`")
 )
@@ -57,6 +58,10 @@ func (d *Daemon) Add(id, token string) (*Tenant, error) {
 	if live || busy {
 		d.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q", ErrTenantExists, id)
+	}
+	if d.cfg.EventLogFile != "" && len(d.tenants)+len(d.pending) > 0 {
+		d.mu.Unlock()
+		return nil, ErrOneEventLog
 	}
 	d.pending[id] = struct{}{}
 	d.mu.Unlock()

@@ -82,7 +82,7 @@ func (sh *shard) housekeep(d *Daemon) {
 				due = true
 			}
 			if due {
-				t.checkpoint()
+				t.Checkpoint()
 			}
 		}
 

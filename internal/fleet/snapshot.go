@@ -17,22 +17,19 @@ import (
 // counters, recent-event rings, and the event-log high-water mark.
 const tenantSnapVersion = 1
 
-// checkpoint writes one generation into the tenant's namespaced store:
+// Checkpoint writes one generation into the tenant's namespaced store:
 // pipeline, monitor streaming state, and tenant state, captured
 // together under the shard lock — between two ingest batches, so the
 // counters, the monitor and the event-log mark describe the same
-// records. Unlike the single-tenant daemon there is no replay
-// cursor to keep exact — fleet sources are live sockets that reconnect
-// and continue, so an interval checkpoint is crash insurance, and only
-// the final post-drain checkpoint is the deterministic artifact the
-// isolation oracle compares. Failures are never fatal — a full disk
+// records, and `received` is the cursor a replaying source fast-forwards
+// to on resume. Failures are never fatal — a full disk
 // must not kill monitoring — but they are no longer silent either:
 // each failure bumps the consecutive-failure streak and the cumulative
 // counter, degrades the tenant, and schedules a backoff-paced retry
 // that the shard housekeeper picks up; the first success clears the
 // streak and restores health. Checkpointing is also a supervision
 // boundary: a panic while marshaling quarantines the tenant.
-func (t *Tenant) checkpoint() {
+func (t *Tenant) Checkpoint() {
 	if t.store == nil {
 		return
 	}

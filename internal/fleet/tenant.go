@@ -20,7 +20,7 @@ import (
 )
 
 // ringSize bounds each tenant's recent-event and recent-deviation
-// buffers (same bound the single-tenant daemon uses).
+// buffers.
 const ringSize = 256
 
 // parseClasses indexes the per-class parse error counters; the last
@@ -72,8 +72,7 @@ type Tenant struct {
 	deviations []stream.Deviation
 	eventLog   *os.File
 	// eventLogBytes is the event log's written high-water mark,
-	// recorded in checkpoints (same protocol as the single-tenant
-	// daemon). logBuf holds an ingest batch's encoded lines until the
+	// recorded in checkpoints. logBuf holds an ingest batch's encoded lines until the
 	// batch ends (one Write) or a checkpoint reads the mark.
 	eventLogBytes int64
 	logBuf        []byte
@@ -166,8 +165,12 @@ func (d *Daemon) newTenant(id, token string, shardIdx int, resume bool) (*Tenant
 		t.monitor = stream.NewMonitor(pipe, d.cfg.AssemblerCfg, scfg)
 	}
 
-	if d.cfg.EventLogDir != "" {
-		if err := t.openEventLog(filepath.Join(d.cfg.EventLogDir, id+".jsonl")); err != nil {
+	logPath := d.cfg.EventLogFile
+	if logPath == "" && d.cfg.EventLogDir != "" {
+		logPath = filepath.Join(d.cfg.EventLogDir, id+".jsonl")
+	}
+	if logPath != "" {
+		if err := t.openEventLog(logPath); err != nil {
 			return nil, err
 		}
 	}
@@ -304,9 +307,9 @@ func pushRing[T any](ring []T, v T) []T {
 }
 
 // eventLogLine is one JSONL record in a tenant's event log. Field
-// order and encoding are fixed (and identical to the single-tenant
-// daemon's), so runs that observe the same events produce
-// byte-identical logs — the fleet isolation oracle diffs them.
+// order and encoding are fixed, so runs that observe the same events
+// produce byte-identical logs — the isolation and crash-recovery oracles
+// diff them.
 type eventLogLine struct {
 	Type       string    `json:"type"`
 	Time       time.Time `json:"time"`
@@ -319,9 +322,10 @@ type eventLogLine struct {
 }
 
 // openEventLog opens (creating if needed) the tenant's event log and
-// truncates it to the restored high-water mark, exactly like the
-// single-tenant daemon: lines a crashed process appended after its
-// last durable checkpoint are discarded.
+// truncates it to the restored high-water mark: lines a crashed process
+// appended after its last durable checkpoint are discarded, so the log
+// and the ingest cursor agree and a resumed run appends exactly what an
+// uninterrupted run would have.
 func (t *Tenant) openEventLog(path string) error {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -413,7 +417,7 @@ func (t *Tenant) stats() stream.Stats {
 }
 
 // Status returns the tenant's live counters in the /tenants/{id}/status
-// JSON shape (a superset of the single-tenant /status body).
+// JSON shape.
 func (t *Tenant) Status() map[string]any {
 	st := t.stats()
 	body := map[string]any{
@@ -494,31 +498,53 @@ func (t *Tenant) discard() {
 	t.ringMu.Unlock()
 }
 
-// close finalizes the tenant: no new ingest (a batch already under the
-// shard lock finishes first), trailing flows flushed through the
-// monitor, a final checkpoint landed, the event log closed.
-// Quarantined tenants skip finalization entirely — their monitor state
-// may be poisoned by whatever panicked, and their last durable
-// checkpoint is the state worth keeping. Idempotent; called by Remove,
-// Restart, and Daemon.Close.
+// Finalize flushes trailing flows through classification and closes the
+// open trace — the end of a capture. The tenant stays open and serving;
+// callers that want the result durable follow with Checkpoint. It is a
+// supervision boundary: a panic here quarantines the tenant. Quarantined
+// tenants are skipped — their monitor state may be poisoned by whatever
+// panicked.
+func (t *Tenant) Finalize() {
+	if t.Health() == Quarantined {
+		return
+	}
+	defer t.catchPanic("finalize")
+	t.shardMu.Lock()
+	defer t.shardMu.Unlock()
+	t.monitor.Close()
+}
+
+// Suspend stops the tenant where it stands: no new ingest (a batch
+// already under the shard lock finishes first), a checkpoint at that
+// record boundary, the event log closed. The monitor is NOT finalized —
+// open flows and the open trace go into the checkpoint as they are, so
+// a resumed tenant continues them as if never interrupted. This is what
+// a process told to stop mid-capture wants; close is Finalize + Suspend.
+// Quarantined tenants write nothing: their last durable checkpoint is
+// the state worth keeping. Idempotent.
+func (t *Tenant) Suspend() {
+	if t.closed.Swap(true) {
+		return
+	}
+	t.settle()
+}
+
+// close finalizes the tenant and suspends it: the end of a tenant whose
+// sources are gone for good. closed is set before Finalize takes the
+// shard lock, so no record follows monitor.Close(). Idempotent; called
+// by Remove, Restart, and Daemon.Close.
 func (t *Tenant) close() {
 	if t.closed.Swap(true) {
 		return
 	}
+	t.Finalize()
+	t.settle()
+}
+
+// settle lands the closing checkpoint and closes the event log.
+func (t *Tenant) settle() {
 	if t.Health() != Quarantined {
-		// Flush trailing flows through classification (same finalization
-		// the single-tenant daemon performs before its final checkpoint).
-		// This is a supervision boundary too: a panic here quarantines
-		// the tenant and skips its final checkpoint.
-		func() {
-			defer t.catchPanic("finalize")
-			t.shardMu.Lock()
-			defer t.shardMu.Unlock()
-			t.monitor.Close()
-		}()
-	}
-	if t.Health() != Quarantined {
-		t.checkpoint()
+		t.Checkpoint()
 	}
 	t.ringMu.Lock()
 	t.closeEventLogLocked()

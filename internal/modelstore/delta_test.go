@@ -343,7 +343,7 @@ func TestDeltaFileAddAndRemove(t *testing.T) {
 	}
 	if _, err := s.Write("fp", map[string][]byte{
 		FilePipeline: []byte("pipeline-v2"),
-		FileDaemon:   []byte("daemon-appears"),
+		FileTenant:   []byte("tenant-appears"),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -354,8 +354,8 @@ func TestDeltaFileAddAndRemove(t *testing.T) {
 	if len(snap.Files) != 2 {
 		t.Fatalf("materialized files = %d, want 2", len(snap.Files))
 	}
-	if string(snap.Files[FilePipeline]) != "pipeline-v2" || string(snap.Files[FileDaemon]) != "daemon-appears" {
-		t.Fatalf("materialized content wrong: %q %q", snap.Files[FilePipeline], snap.Files[FileDaemon])
+	if string(snap.Files[FilePipeline]) != "pipeline-v2" || string(snap.Files[FileTenant]) != "tenant-appears" {
+		t.Fatalf("materialized content wrong: %q %q", snap.Files[FilePipeline], snap.Files[FileTenant])
 	}
 	if _, present := snap.Files[FileMonitor]; present {
 		t.Fatal("dropped file still present in materialized view")

@@ -49,7 +49,6 @@ const FormatVersion = 1
 const (
 	FilePipeline = "pipeline.snap" // core.MarshalPipeline bytes
 	FileMonitor  = "monitor.snap"  // stream.Monitor.MarshalState bytes
-	FileDaemon   = "daemon.snap"   // behaviotd counters/rings/feed cursor
 	FileTraces   = "traces.snap"   // training traces for lab reuse
 )
 

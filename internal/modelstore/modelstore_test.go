@@ -13,7 +13,7 @@ func testFiles(tag string) map[string][]byte {
 	return map[string][]byte{
 		FilePipeline: []byte("pipeline-" + tag),
 		FileMonitor:  []byte("monitor-" + tag),
-		FileDaemon:   {},
+		FileTenant:   {},
 	}
 }
 

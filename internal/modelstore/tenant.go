@@ -39,8 +39,8 @@ func ValidTenantID(id string) bool {
 // OpenTenant opens (creating if needed) a tenant's namespaced store
 // under a fleet store root: <root>/tenants/<id>/. The store itself is
 // an ordinary generation-versioned store — tenancy lives entirely in
-// the path, so snapshot formats and fingerprints are unchanged from
-// the single-tenant daemon and the same Load/Write protocol applies.
+// the path, so snapshot formats, fingerprints and the Load/Write
+// protocol are those of any other store.
 func OpenTenant(root, id string, opts Options) (*Store, error) {
 	if !ValidTenantID(id) {
 		return nil, fmt.Errorf("modelstore: invalid tenant id %q", id)
