@@ -5,7 +5,7 @@ GO ?= go
 
 .PHONY: all build test race vet lint lint-cold lint-warm lint-timing \
 	fmt-check check clean \
-	bench bench-json bench-ratchet bench-e2e experiments-quick \
+	bench bench-json bench-ratchet bench-e2e loc experiments-quick \
 	experiments-expectations experiments-train fuzz-smoke \
 	fleet-soak fault-soak crash-soak-fleet
 
@@ -34,7 +34,7 @@ vet:
 	$(GO) vet ./...
 
 ## lint: run behaviotlint, the project static-analysis suite
-## (determinism, floateq, errcheck, lockguard, maprange, poolcheck);
+## (determinism, floateq, errcheck, lockguard, maprange);
 ## nonzero exit on findings. Loading fans out across cores (-workers)
 ## with identical findings for every worker count, and the stdlib
 ## type-check is served from the on-disk export-data cache
@@ -87,8 +87,9 @@ bench-json:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x -benchmem ./... | \
 		$(GO) run ./cmd/benchjson -out BENCH_$(BENCH_DATE).json
 
-## bench-ratchet: run the ingest hot-path benchmarks at a fixed
-## iteration count and ratchet them against the committed
+## bench-ratchet: run the ingest hot-path stage benchmarks (pcap record
+## read, wire decode, flow assembly) at a fixed iteration count and
+## ratchet them against the committed
 ## BENCH_baseline.json: any allocs/op increase fails (tolerance zero),
 ## and on the same CPU model a throughput drop beyond 10% fails too
 ## (benchjson skips the throughput comparison across CPU models, so the
@@ -119,6 +120,13 @@ bench-ratchet:
 ## see bench/README.md for how to take those.
 bench-e2e:
 	$(GO) run ./bench --quick --seconds 2 --out .bench_build/bench-e2e.json
+
+## loc: non-test, non-testdata Go lines per top-level directory and in
+## total — the count every [simplicity] PR quotes
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs wc -l | \
+		awk '$$2 != "total" { n = split($$2, p, "/"); d = n > 2 ? p[2] : "."; by[d] += $$1; all += $$1 } \
+			END { for (d in by) printf "%7d %s\n", by[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", all }'
 
 ## experiments-quick: regenerate every table and figure at reduced scale
 ## with deterministic stdout (timings go to stderr; the recipe is
@@ -158,7 +166,9 @@ fuzz-smoke:
 	echo "fuzzing FuzzScalarsMatchEncodingJSON ($(FUZZTIME))"; \
 	$(GO) test -run '^$$' -fuzz='^FuzzScalarsMatchEncodingJSON$$' -fuzztime=$(FUZZTIME) ./internal/jsonenc/; \
 	echo "fuzzing FuzzEventLogLineMatchesEncodingJSON ($(FUZZTIME))"; \
-	$(GO) test -run '^$$' -fuzz='^FuzzEventLogLineMatchesEncodingJSON$$' -fuzztime=$(FUZZTIME) ./internal/fleet/
+	$(GO) test -run '^$$' -fuzz='^FuzzEventLogLineMatchesEncodingJSON$$' -fuzztime=$(FUZZTIME) ./internal/fleet/; \
+	echo "fuzzing FuzzFrameWalk ($(FUZZTIME))"; \
+	$(GO) test -run '^$$' -fuzz='^FuzzFrameWalk$$' -fuzztime=$(FUZZTIME) ./internal/fleet/listener/
 
 ## fleet-soak: the multi-tenant soak gate, all under -race. Two halves:
 ## the in-process isolation oracle (100 tenants replaying concurrently

@@ -31,7 +31,7 @@
 //	    "by_analyzer": {"errcheck": 0, ...},
 //	    "load_ms": 812, "typecheck_ms": 702,
 //	    "typecheck_mode": "cache",
-//	    "analyzers_ms": {"poolcheck": 41, ...}
+//	    "analyzers_ms": {"lockguard": 41, ...}
 //	  }
 //	}
 //

@@ -70,8 +70,8 @@ func TestSelfRunCleanTree(t *testing.T) {
 		t.Errorf("load_ms %d < typecheck_ms %d; typecheck time must be a subset of load time",
 			rep.Summary.LoadMS, rep.Summary.TypecheckMS)
 	}
-	if _, ok := rep.Summary.AnalyzersMS["poolcheck"]; !ok {
-		t.Error("analyzers_ms missing poolcheck")
+	if _, ok := rep.Summary.AnalyzersMS["lockguard"]; !ok {
+		t.Error("analyzers_ms missing lockguard")
 	}
 }
 

@@ -64,7 +64,6 @@ func (d *Daemon) handleListTenants(w http.ResponseWriter, r *http.Request) {
 			"packets":          st.Packets,
 			"deviations":       st.Deviations,
 			"received_records": t.received.Load(),
-			"queue_depth":      0, // nothing is ever queued; kept for readers that wait on it (bench/)
 		})
 	}
 	writeJSON(w, http.StatusOK, map[string]any{

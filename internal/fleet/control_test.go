@@ -274,7 +274,7 @@ func TestControlStatusShape(t *testing.T) {
 	for _, key := range []string{
 		"shard", "packets", "flows", "periodic", "user", "aperiodic",
 		"deviations", "late_dropped", "received_records", "fed_records",
-		"parse_errors", "queue_depth", "queue_shed", "queue_waits",
+		"parse_errors", "queue_depth",
 		"store_generation", "checkpoints_total", "checkpoint_failures_total",
 		"panics_total", "restarts_total",
 	} {

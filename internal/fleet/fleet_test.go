@@ -356,7 +356,7 @@ func TestTenantIngestAccounting(t *testing.T) {
 	}
 
 	status := tn.Status()
-	for _, key := range []string{"tenant", "shard", "packets", "received_records", "fed_records", "queue_depth", "queue_shed", "queue_waits"} {
+	for _, key := range []string{"tenant", "shard", "packets", "received_records", "fed_records", "queue_depth"} {
 		if _, ok := status[key]; !ok {
 			t.Errorf("Status() missing %q", key)
 		}

@@ -406,10 +406,7 @@ func TestConcurrentSourcesOneTenant(t *testing.T) {
 			default:
 			}
 			if cur := d.Get("home-1"); cur != nil {
-				st := cur.Status()
-				if st["queue_depth"].(int) != 0 {
-					t.Error("queue_depth is not 0")
-				}
+				cur.Status() // races the ingesting connections on purpose
 			}
 			// The ring reads race the ingesting connections' recordEvent /
 			// recordDeviation appends unless ringMu covers both sides; 404

@@ -266,6 +266,9 @@ func (s *source) ingestBuffered() (int, error) {
 		return s.t.Ingest(append(s.recs[:0], frame(s.scratch[:size])))
 	}
 	if _, err := s.br.Peek(size); err != nil {
+		if err == io.EOF { // the header arrived, so this is mid-record
+			err = io.ErrUnexpectedEOF
+		}
 		return 0, err
 	}
 	win, _ := s.br.Peek(s.br.Buffered()) // cannot fail: asks only for what is buffered

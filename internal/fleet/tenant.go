@@ -15,7 +15,6 @@ import (
 	"behaviot/internal/jsonenc"
 	"behaviot/internal/modelstore"
 	"behaviot/internal/netparse"
-	"behaviot/internal/pcapio"
 	"behaviot/internal/stream"
 )
 
@@ -241,11 +240,10 @@ func (t *Tenant) Ingest(recs []Record) (n int, err error) {
 	return n, nil
 }
 
-// IngestRecord is the one-record form of Ingest. buf, when non-nil, is
-// the pooled record buffer backing data; it is recycled on every path.
-func (t *Tenant) IngestRecord(ts time.Time, data []byte, buf *[]byte) error {
+// IngestRecord is the one-record form of Ingest. The third parameter
+// is unused; its last caller passing it (as nil) is bench/layers.go.
+func (t *Tenant) IngestRecord(ts time.Time, data []byte, _ *[]byte) error {
 	_, err := t.Ingest([]Record{{Time: ts, Data: data}})
-	pcapio.PutBuf(buf)
 	return err
 }
 
@@ -438,10 +436,8 @@ func (t *Tenant) Status() map[string]any {
 		"received_records": t.received.Load(),
 		"fed_records":      t.fed.Load(),
 		"parse_errors":     t.parseErrors.Load(),
-		// No queue any more; zeros kept for readers (bench/, soak gates).
+		// Nothing is ever queued; last reader: bench/layers.go:278.
 		"queue_depth": 0,
-		"queue_shed":  int64(0),
-		"queue_waits": int64(0),
 	}
 	classes := map[string]int64{}
 	for i, c := range parseClasses {

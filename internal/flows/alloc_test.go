@@ -50,7 +50,7 @@ func TestAssembleSteadyStateDoesNotAllocate(t *testing.T) {
 
 	// Timed burst: packets 1 ms apart (one burst; AllocsPerRun adds a
 	// warm-up call, which absorbs the map re-insert for the new burst).
-	// One Packet is reused across runs — as on the pooled ingest path —
+	// One Packet is reused across runs — as on the ingest path —
 	// so the closure itself performs no allocation.
 	base = base.Add(10 * time.Hour)
 	p := mk(base)

@@ -246,7 +246,6 @@ func (a *Assembler) Add(p *netparse.Packet) {
 		f.Tuple = tuple
 		f.Proto = protoLabel(tuple)
 		f.Start = p.Timestamp
-		//lint:ignore poolcheck the assembler owns the flow table: every entry leaves active via done/FlushClosed and is recycled by the classify sink
 		a.active[key] = f
 	}
 	f.Packets = append(f.Packets, meta)

@@ -41,7 +41,7 @@ func TestCachedLoaderMatchesSource(t *testing.T) {
 	patterns := []string{
 		"internal/stats",
 		"internal/lint/testdata/errcheck",
-		"internal/lint/testdata/poolcheck",
+		"internal/lint/testdata/lockguard",
 	}
 	srcLoader, err := NewLoader(root)
 	if err != nil {

@@ -3,7 +3,7 @@
 // (go/ast, go/parser, go/token, go/types) so the repository keeps its
 // zero-dependency go.mod.
 //
-// Six analyzers enforce conventions that ordinary tests cannot: the
+// Five analyzers enforce conventions that ordinary tests cannot: the
 // evaluation pipeline depends on seeded, replayable traffic generators
 // and on numerically careful model code, and the streaming monitor
 // depends on documented lock discipline. A silent wall-clock read or a
@@ -21,9 +21,6 @@
 //     compound assignment) inside range-over-map loops in model
 //     packages, where map iteration order would leak into trained
 //     artifacts.
-//   - poolcheck: flow-sensitive enforcement of the pooled-buffer
-//     ownership contract (DESIGN.md) — leaked, double-released,
-//     used-after-release, or escaping pooled values.
 //
 // Findings can be suppressed with a justified comment on the offending
 // line or the line above it:
@@ -63,7 +60,7 @@ type Analyzer struct {
 }
 
 // All lists the analyzers behaviotlint runs, in report order.
-var All = []*Analyzer{Determinism, FloatEq, ErrCheck, LockGuard, MapRange, PoolCheck}
+var All = []*Analyzer{Determinism, FloatEq, ErrCheck, LockGuard, MapRange}
 
 // ByName returns the analyzer with the given name, or nil.
 func ByName(name string) *Analyzer {

@@ -118,7 +118,6 @@ func TestDeterminismSkipsNonGeneratorPackages(t *testing.T) {
 func TestFloatEqFixture(t *testing.T)   { checkFixture(t, "floateq", FloatEq) }
 func TestErrCheckFixture(t *testing.T)  { checkFixture(t, "errcheck", ErrCheck) }
 func TestLockGuardFixture(t *testing.T) { checkFixture(t, "lockguard", LockGuard) }
-func TestPoolCheckFixture(t *testing.T) { checkFixture(t, "poolcheck", PoolCheck) }
 
 func TestMapRangeFixture(t *testing.T) {
 	// Like the determinism fixture: register the fixture's package path
@@ -169,7 +168,6 @@ func TestLoadParallelMatchesSerial(t *testing.T) {
 		"internal/lint/testdata/floateq",
 		"internal/lint/testdata/lockguard",
 		"internal/lint/testdata/maprange",
-		"internal/lint/testdata/poolcheck",
 	}
 	render := func(pkgs []*Package) string {
 		var sb strings.Builder

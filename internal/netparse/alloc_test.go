@@ -7,7 +7,7 @@ import (
 )
 
 // TestDecodeIntoDoesNotAllocate pins the zero-alloc contract of the
-// pooled parse path: decoding a frame into an existing Packet performs
+// in-place parse path: decoding a frame into an existing Packet performs
 // no heap allocation, for TCP and UDP, IPv4 and IPv6.
 func TestDecodeIntoDoesNotAllocate(t *testing.T) {
 	cases := []struct {
@@ -37,8 +37,7 @@ func TestDecodeIntoDoesNotAllocate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p := GetPacket()
-			defer PutPacket(p)
+			p := new(Packet)
 			avg := testing.AllocsPerRun(200, func() {
 				if err := DecodeInto(p, wire); err != nil {
 					t.Fatal(err)
@@ -48,33 +47,5 @@ func TestDecodeIntoDoesNotAllocate(t *testing.T) {
 				t.Errorf("DecodeInto allocates %v allocs/op, want 0", avg)
 			}
 		})
-	}
-}
-
-// TestPacketPoolRoundTrip pins the pool bookkeeping: PutPacket is a
-// no-op on caller-owned packets, and a recycled packet comes back
-// fully cleared.
-func TestPacketPoolRoundTrip(t *testing.T) {
-	own := &Packet{SrcPort: 7}
-	PutPacket(own) // must not panic or adopt the packet
-	if own.SrcPort != 7 {
-		t.Error("PutPacket cleared a packet the pool does not own")
-	}
-
-	p := GetPacket()
-	p.SrcPort = 9
-	buf := []byte{1, 2, 3}
-	p.AttachWire(&buf)
-	if got := p.DetachWire(); got == nil || &(*got)[0] != &buf[0] {
-		t.Error("DetachWire did not return the attached buffer")
-	}
-	if p.DetachWire() != nil {
-		t.Error("DetachWire did not clear the attachment")
-	}
-	PutPacket(p)
-	q := GetPacket()
-	defer PutPacket(q)
-	if q.SrcPort != 0 {
-		t.Error("pooled packet not cleared on recycle")
 	}
 }

@@ -1,9 +1,9 @@
 package netparse
 
 // Error classes for frame-decoding failures. The tolerant ingest path
-// (stream.Monitor.FeedRecord, behaviotd) counts failures per class
-// instead of aborting, so a lossy or corrupted capture degrades into
-// metrics rather than a crash.
+// (fleet.Tenant.Ingest, stream.Monitor.FeedRecord) counts failures per
+// class instead of aborting, so a lossy or corrupted capture degrades
+// into metrics rather than a crash.
 const (
 	// ClassTruncated marks frames cut short of a declared length —
 	// snaplen truncation or a capture stopped mid-record.

@@ -13,7 +13,6 @@ package netparse
 import (
 	"fmt"
 	"net/netip"
-	"sync"
 	"time"
 )
 
@@ -74,71 +73,6 @@ type Packet struct {
 	// headers. Set by Decode; Encode-produced packets get it from the
 	// encoded length.
 	WireLen int
-
-	// wire is the pooled record buffer backing Payload when the packet
-	// came through the pooled ingest path (see AttachWire), and pooled
-	// marks packets obtained from GetPacket so PutPacket is a safe
-	// no-op on packets the pool does not own. released marks a packet
-	// that has been handed back and not re-acquired; race-enabled
-	// builds use it to turn a double PutPacket into a panic instead of
-	// silent pool corruption.
-	wire     *[]byte
-	pooled   bool
-	released bool
-}
-
-// pktPool recycles Packet structs for the zero-alloc ingest path.
-var pktPool = sync.Pool{New: func() any { return new(Packet) }}
-
-// GetPacket returns a pooled Packet ready for DecodeInto. Once the
-// packet has been consumed — for the streaming pipeline, when the
-// stream.Queue sink returns — hand it back with PutPacket.
-func GetPacket() *Packet {
-	p := pktPool.Get().(*Packet)
-	p.pooled, p.released = true, false
-	return p
-}
-
-// PutPacket recycles a packet obtained from GetPacket, clearing all
-// decoded state. Calling it with a packet the pool does not own (or
-// nil) is a no-op, so a sink can recycle unconditionally even when
-// pooled and caller-owned packets share a queue. Under the race
-// detector, releasing the same packet twice panics: a double put means
-// two owners, and the second release would hand the pool a packet that
-// may already be live again elsewhere.
-func PutPacket(p *Packet) {
-	if p == nil {
-		return
-	}
-	if !p.pooled {
-		if poolGuardActive && p.released {
-			panic("netparse: PutPacket called twice on the same packet (ownership bug; see DESIGN.md pool rules)")
-		}
-		return
-	}
-	*p = Packet{released: true}
-	pktPool.Put(p)
-}
-
-// AttachWire records the pooled record buffer whose bytes back this
-// packet's Payload, keeping buffer and packet together while the packet
-// crosses pipeline stages. The packet borrows the buffer; DetachWire
-// transfers it back for recycling (pcapio.PutBuf).
-func (p *Packet) AttachWire(buf *[]byte) { p.wire = buf }
-
-// DetachWire returns the attached record buffer (nil when none) and
-// clears the attachment.
-func (p *Packet) DetachWire() *[]byte {
-	b := p.wire
-	p.wire = nil
-	return b
-}
-
-// resetDecoded clears decoded fields before an in-place decode, keeping
-// the pool/wire bookkeeping intact.
-func (p *Packet) resetDecoded() {
-	buf, pooled := p.wire, p.pooled
-	*p = Packet{wire: buf, pooled: pooled}
 }
 
 // FiveTuple identifies a flow.

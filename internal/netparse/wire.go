@@ -120,16 +120,16 @@ func Decode(data []byte) (*Packet, error) {
 	return p, nil
 }
 
-// DecodeInto is Decode into a caller-provided (typically pooled) Packet,
+// DecodeInto is Decode into a caller-provided (typically reused) Packet,
 // so the steady-state parse path performs no allocation. The previous
-// contents of p — except its pool/wire bookkeeping — are overwritten on
-// success; on error p is left in an unspecified state and must not be
-// fed downstream.
+// contents of p are overwritten on success; on error p is left in an
+// unspecified state and must not be fed downstream. p.Payload aliases
+// data, which the caller only lends: it is valid until data is reused.
 func DecodeInto(p *Packet, data []byte) error {
 	if len(data) < ethHeaderLen {
 		return parseErr(ClassTruncated, fmt.Errorf("%w: ethernet header", ErrTruncated))
 	}
-	p.resetDecoded()
+	*p = Packet{}
 	p.WireLen = len(data)
 	copy(p.DstMAC[:], data[0:6])
 	copy(p.SrcMAC[:], data[6:12])

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 )
 
@@ -274,16 +273,16 @@ func (r *Reader) SkippedBytes() int64 { return r.skippedBytes }
 // the end of the stream and, in strict mode, ErrTruncated for a partial
 // trailing record; in tolerant mode damage is skipped and counted. The
 // returned data is freshly allocated; the zero-alloc ingest path uses
-// ReadPacketInto with a pooled buffer instead.
+// ReadPacketInto with one reused buffer instead.
 func (r *Reader) ReadPacket() (ts time.Time, data []byte, err error) {
 	return r.ReadPacketInto(nil)
 }
 
 // ReadPacketInto is ReadPacket reading the record bytes into buf (grown
-// as needed), so a caller recycling buffers — typically through
-// GetBuf/PutBuf — reads the steady-state stream without allocating. The
-// returned data slice aliases buf's storage when it fits; ownership of
-// the record bytes stays with the caller either way.
+// as needed), so a caller reusing one buffer across calls reads the
+// steady-state stream without allocating. The returned data slice
+// aliases buf's storage when it fits; ownership of the record bytes
+// stays with the caller either way.
 func (r *Reader) ReadPacketInto(buf []byte) (ts time.Time, data []byte, err error) {
 	resyncing := false
 	for {
@@ -382,38 +381,4 @@ func (r *Reader) plausibleHeader(sec, capLen, origLen uint32) bool {
 func (r *Reader) countSkip(n int) {
 	r.skipped++
 	r.skippedBytes += int64(n)
-}
-
-// bufPool recycles record buffers for the zero-alloc ingest path. The
-// pool holds *[]byte (not []byte) so Put does not allocate a slice
-// header, and new buffers start at a capacity covering typical IoT
-// frames; ReadPacketInto grows past it only for jumbo records.
-var bufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 2048)
-		return &b
-	},
-}
-
-// GetBuf returns a pooled record buffer for ReadPacketInto. The buffer
-// travels with the decoded packet down the pipeline (see
-// netparse.Packet.AttachWire) and must be returned with PutBuf once the
-// packet has been consumed — the recycle point is the stream.Queue sink
-// boundary.
-func GetBuf() *[]byte {
-	b := bufPool.Get().(*[]byte)
-	guardGet(b)
-	return b
-}
-
-// PutBuf recycles a record buffer obtained from GetBuf. The caller must
-// not touch the buffer afterwards; PutBuf(nil) is a no-op so release
-// sites stay unconditional. Race-enabled builds panic on a double put
-// and poison released contents (see poolguard_race.go).
-func PutBuf(b *[]byte) {
-	if b == nil {
-		return
-	}
-	guardPut(b)
-	bufPool.Put(b)
 }

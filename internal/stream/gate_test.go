@@ -17,7 +17,12 @@ import (
 // gateRun is everything observable about one monitor's pass over a
 // stream: the callbacks in order and the serialized end state.
 type gateRun struct {
-	log       []string
+	log []string
+	// flows are the e.Flow pointers a subscriber that ignores the
+	// RecycleFlows contract would keep; flowAt is describeFlow of each
+	// taken inside the callback.
+	flows     []*flows.Flow
+	flowAt    []string
 	midState  []byte
 	endState  []byte
 	pipeState []byte
@@ -70,12 +75,18 @@ func randomGroupStream(f *streamFixture, seed int64) []gateStep {
 	return steps
 }
 
+// describeFlow copies everything observable about a burst into a string.
+func describeFlow(f *flows.Flow) string {
+	return fmt.Sprintf("%s %s %q %s %s..%s %v", f.Device, f.Tuple, f.Domain, f.Proto,
+		f.Start.Format(time.RFC3339Nano), f.End.Format(time.RFC3339Nano), f.Packets)
+}
+
 // runGated feeds steps through a fresh monitor over a private copy of
 // the pipeline. With bruteForce set, both gates are knocked out before
 // every step, so drain walks pending and checkSilence rescans every
 // group on every packet — the reference the gates must be
-// indistinguishable from.
-func runGated(t *testing.T, f *streamFixture, steps []gateStep, bruteForce bool) gateRun {
+// indistinguishable from. recycle sets Config.RecycleFlows.
+func runGated(t *testing.T, f *streamFixture, steps []gateStep, bruteForce, recycle bool) gateRun {
 	t.Helper()
 	pipe, err := core.UnmarshalPipeline(core.MarshalPipeline(f.pipe))
 	if err != nil {
@@ -84,9 +95,13 @@ func runGated(t *testing.T, f *streamFixture, steps []gateStep, bruteForce bool)
 	pipe.Periodic.Reset()
 	var out gateRun
 	m := NewMonitor(pipe, f.monitorConfig(), Config{
+		RecycleFlows: recycle,
 		OnEvent: func(e Event) {
-			out.log = append(out.log, fmt.Sprintf("event %d %s %q %s %v",
-				e.Class, e.Device, e.Label, e.Time.Format(time.RFC3339Nano), e.Confidence))
+			at := describeFlow(e.Flow)
+			out.log = append(out.log, fmt.Sprintf("event %d %s %q %s %v %s",
+				e.Class, e.Device, e.Label, e.Time.Format(time.RFC3339Nano), e.Confidence, at))
+			out.flows = append(out.flows, e.Flow)
+			out.flowAt = append(out.flowAt, at)
 		},
 		OnDeviation: func(d Deviation) {
 			out.log = append(out.log, fmt.Sprintf("deviation %s %s %q %s %v",
@@ -113,6 +128,30 @@ func runGated(t *testing.T, f *streamFixture, steps []gateStep, bruteForce bool)
 	return out
 }
 
+// sameRun fails unless two passes over one stream were observably the
+// same: callbacks in order, MarshalState bytes mid-stream and at the
+// end, and the pipeline snapshot.
+func sameRun(t *testing.T, seed int64, gotName string, got gateRun, wantName string, want gateRun) {
+	t.Helper()
+	if len(got.log) != len(want.log) {
+		t.Errorf("seed %d: %d callbacks %s, %d %s", seed, len(got.log), gotName, len(want.log), wantName)
+	}
+	for i := 0; i < len(got.log) && i < len(want.log); i++ {
+		if got.log[i] != want.log[i] {
+			t.Fatalf("seed %d: callback %d differs:\n %s: %s\n %s: %s", seed, i, gotName, got.log[i], wantName, want.log[i])
+		}
+	}
+	if !bytes.Equal(got.midState, want.midState) {
+		t.Errorf("seed %d: mid-stream MarshalState bytes differ", seed)
+	}
+	if !bytes.Equal(got.endState, want.endState) {
+		t.Errorf("seed %d: final MarshalState bytes differ", seed)
+	}
+	if !bytes.Equal(got.pipeState, want.pipeState) {
+		t.Errorf("seed %d: pipeline snapshot bytes differ", seed)
+	}
+}
+
 // TestGatesMatchBruteForceRescan is the property the O(1) gates rest
 // on: over randomized periodic / silent / recovering group streams, the
 // gated monitor emits exactly the events and deviations — same order,
@@ -122,28 +161,12 @@ func TestGatesMatchBruteForceRescan(t *testing.T) {
 	f := getFixture(t)
 	for seed := int64(1); seed <= 8; seed++ {
 		steps := randomGroupStream(f, seed)
-		got := runGated(t, f, steps, false)
-		want := runGated(t, f, steps, true)
+		got := runGated(t, f, steps, false, false)
+		want := runGated(t, f, steps, true, false)
 		if want.stats.Deviations == 0 || want.stats.Periodic == 0 {
 			t.Fatalf("seed %d: stream exercises nothing (stats %+v)", seed, want.stats)
 		}
-		if len(got.log) != len(want.log) {
-			t.Errorf("seed %d: %d callbacks gated, %d brute force", seed, len(got.log), len(want.log))
-		}
-		for i := 0; i < len(got.log) && i < len(want.log); i++ {
-			if got.log[i] != want.log[i] {
-				t.Fatalf("seed %d: callback %d differs:\n gated: %s\n brute: %s", seed, i, got.log[i], want.log[i])
-			}
-		}
-		if !bytes.Equal(got.midState, want.midState) {
-			t.Errorf("seed %d: mid-stream MarshalState bytes differ", seed)
-		}
-		if !bytes.Equal(got.endState, want.endState) {
-			t.Errorf("seed %d: final MarshalState bytes differ", seed)
-		}
-		if !bytes.Equal(got.pipeState, want.pipeState) {
-			t.Errorf("seed %d: pipeline snapshot bytes differ", seed)
-		}
+		sameRun(t, seed, "gated", got, "brute force", want)
 	}
 }
 

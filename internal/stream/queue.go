@@ -2,42 +2,23 @@ package stream
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"behaviot/internal/netparse"
-	"behaviot/internal/pcapio"
 )
 
-// Queue is a bounded feed pump between capture producers and a packet
-// sink (typically a locked Monitor.Feed): producers enqueue from any
-// goroutine, a single consumer goroutine drains into the sink in
-// arrival order. Two producer disciplines are offered — Feed blocks
-// when the queue is full (backpressure, for paced replay), Offer drops
-// and counts instead (load shedding, for live capture where blocking
-// the tap loses packets anyway). This is the behaviotd -queue knob.
+// Queue is a bounded feed pump between producers and a packet sink:
+// producers enqueue from any goroutine, a single consumer goroutine
+// drains into the sink in arrival order, and Feed blocks while the
+// queue is full (backpressure). Nothing the daemon runs goes through
+// one any more — every source ingests inline on its own goroutine —
+// it survives for the hand-off cost bench/layers.go still measures.
 type Queue struct {
 	ch chan item
-
-	// Per-instance health counters. Each Queue owns its own set, so in
-	// a multi-tenant deployment one noisy home's sheds and stalls show
-	// up on its own queue instead of vanishing into (or masking) a
-	// process-wide aggregate.
-	fed     atomic.Int64 // packets accepted into the channel
-	dropped atomic.Int64 // packets shed by Offer or post-close Feed
-	waits   atomic.Int64 // Feed calls that found the queue full and blocked
 
 	mu     sync.RWMutex // guards closed
 	closed bool
 
 	wg sync.WaitGroup
-}
-
-// QueueStats is a point-in-time sample of one queue's counters.
-type QueueStats struct {
-	Fed               int64 // packets accepted into the queue
-	Shed              int64 // packets dropped by Offer or post-close Feed
-	BackpressureWaits int64 // Feed calls that blocked on a full queue
-	Depth             int   // current occupancy
 }
 
 // item is one queue element: a packet, or a flush marker whose ack
@@ -47,26 +28,16 @@ type item struct {
 	ack chan<- struct{}
 }
 
-// NewQueue starts the consumer goroutine draining up to size queued
-// packets into sink. The sink runs on that single goroutine, so a sink
-// that locks (as behaviotd's does) serializes cleanly with samplers.
-// Close must be called to drain and stop the consumer.
-func NewQueue(size int, sink func(*netparse.Packet)) *Queue {
-	return NewBatchQueue(size, 1, func(ps []*netparse.Packet) {
-		for _, p := range ps {
-			sink(p)
-		}
-	})
-}
-
-// NewBatchQueue is NewQueue with batched hand-off: after a blocking
-// receive the consumer greedily drains whatever else is already queued
-// (up to batch packets) and sinks them in one call, so a sink that
-// takes a lock pays it once per batch instead of once per packet. Under
-// light load batches degenerate to single packets — no latency is added
-// waiting for a batch to fill. Arrival order is preserved within and
-// across batches, and a flush marker acks only after the packets queued
-// before it have been sunk.
+// NewBatchQueue starts the consumer goroutine draining up to size
+// queued packets into sink, which runs on that single goroutine. After a
+// blocking receive the consumer greedily drains whatever else is already
+// queued (up to batch packets) and sinks them in one call, so a sink
+// that takes a lock pays it once per batch instead of once per packet.
+// Under light load batches degenerate to single packets — no latency is
+// added waiting for a batch to fill. Arrival order is preserved within
+// and across batches, and a flush marker acks only after the packets
+// queued before it have been sunk. Close must be called to drain and
+// stop the consumer.
 func NewBatchQueue(size, batch int, sink func([]*netparse.Packet)) *Queue {
 	if size <= 0 {
 		size = 1024
@@ -124,44 +95,19 @@ func NewBatchQueue(size, batch int, sink func([]*netparse.Packet)) *Queue {
 	return q
 }
 
-// recycle returns a dropped packet — and any wire buffer still riding
-// on it — to the pools. Feed and Offer take ownership of every packet
-// handed to them, including the ones they shed (DESIGN.md pool rule
-// R1: a transfer consumes unconditionally), so a drop must recycle
-// exactly like the sink would. Both Put functions no-op on
-// caller-owned packets, so non-pooled test packets pass through
-// untouched.
-func recycle(p *netparse.Packet) {
-	pcapio.PutBuf(p.DetachWire())
-	netparse.PutPacket(p)
-}
-
 // Feed enqueues with backpressure: it blocks while the queue is full.
-// Feeding a closed queue is a counted drop (the packet is recycled),
-// not a panic, so shutdown races degrade gracefully. (The read lock is
-// held across the send; Close takes the write side, so it cannot close
-// the channel out from under a blocked producer — the consumer keeps
-// draining meanwhile.)
+// Feeding a closed queue drops the packet rather than panicking, so
+// shutdown races degrade gracefully. (The read lock is held across the
+// send; Close takes the write side, so it cannot close the channel out
+// from under a blocked producer — the consumer keeps draining
+// meanwhile.)
 func (q *Queue) Feed(p *netparse.Packet) {
 	q.mu.RLock()
 	defer q.mu.RUnlock()
 	if q.closed {
-		recycle(p)
-		q.dropped.Add(1)
 		return
 	}
-	// Try the fast path first so a genuine stall is observable: when
-	// the queue is full the blocking send below is a backpressure wait,
-	// and the counter tells a full queue apart from a merely busy one.
-	select {
-	case q.ch <- item{p: p}:
-		q.fed.Add(1)
-		return
-	default:
-	}
-	q.waits.Add(1)
 	q.ch <- item{p: p}
-	q.fed.Add(1)
 }
 
 // Flush blocks until every packet enqueued before the call has been
@@ -182,49 +128,9 @@ func (q *Queue) Flush() {
 	<-done
 }
 
-// Offer enqueues without blocking. When the queue is full (or already
-// closed) the packet is recycled, counted as dropped, and false is
-// returned — the overflow behavior of a real capture ring. Either way
-// Offer consumes the packet; the caller must not touch it afterwards.
-func (q *Queue) Offer(p *netparse.Packet) bool {
-	q.mu.RLock()
-	defer q.mu.RUnlock()
-	if q.closed {
-		recycle(p)
-		q.dropped.Add(1)
-		return false
-	}
-	select {
-	case q.ch <- item{p: p}:
-		q.fed.Add(1)
-		return true
-	default:
-		recycle(p)
-		q.dropped.Add(1)
-		return false
-	}
-}
-
-// Dropped returns how many packets Offer (or post-close Feed) shed.
-func (q *Queue) Dropped() int64 { return q.dropped.Load() }
-
-// Depth returns the current queue occupancy (for gauges).
-func (q *Queue) Depth() int { return len(q.ch) }
-
-// Stats samples this queue's counters. Counters are per-instance by
-// construction; fleet /metrics exposes them per tenant.
-func (q *Queue) Stats() QueueStats {
-	return QueueStats{
-		Fed:               q.fed.Load(),
-		Shed:              q.dropped.Load(),
-		BackpressureWaits: q.waits.Load(),
-		Depth:             len(q.ch),
-	}
-}
-
 // Close stops accepting packets, waits for the consumer to drain what
 // was queued, and returns. Safe to call more than once; producers
-// racing Close have their packets counted as dropped, never panicked.
+// racing Close have their packets dropped, never a panic.
 func (q *Queue) Close() {
 	q.mu.Lock()
 	already := q.closed

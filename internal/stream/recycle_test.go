@@ -1,74 +1,45 @@
 package stream
 
-import (
-	"testing"
+import "testing"
 
-	"behaviot/internal/netparse"
-	"behaviot/internal/pcapio"
-)
-
-// pooledPacket builds a pooled packet carrying a pooled wire buffer,
-// like the behaviotd ingest path produces.
-func pooledPacket(t *testing.T) *netparse.Packet {
-	t.Helper()
-	p := netparse.GetPacket()
-	buf := pcapio.GetBuf()
-	*buf = append((*buf)[:0], 1, 2, 3)
-	p.AttachWire(buf)
-	p.SrcPort = 7
-	return p
+// staleFlows counts retained e.Flow pointers whose burst no longer
+// reads the way it did inside the callback.
+func staleFlows(r gateRun) int {
+	n := 0
+	for i, f := range r.flows {
+		if describeFlow(f) != r.flowAt[i] {
+			n++
+		}
+	}
+	return n
 }
 
-// TestClosedQueueDropRecycles pins the ownership contract on the
-// post-close drop path: Feed and Offer consume the packet even when
-// they shed it, returning packet and wire buffer to their pools. A
-// recycled pooled packet is cleared, which is observable.
-func TestClosedQueueDropRecycles(t *testing.T) {
-	q := NewQueue(4, func(*netparse.Packet) {})
-	q.Close()
+// TestRecycleFlowsIsInvisible holds the flow freelist's contract from
+// the outside: to a subscriber that copies what it needs inside the
+// callback, a monitor that hands every classified burst back to the
+// assembler (Config.RecycleFlows, what every tenant runs) is
+// indistinguishable from one that never reuses a flow — same callbacks
+// in the same order with the same burst contents, same MarshalState
+// bytes mid-stream and at the end, same pipeline snapshot. The negative
+// control is the subscriber the contract forbids: one that keeps e.Flow
+// sees its bursts rewritten under it, so the test would notice if
+// recycling silently stopped happening.
+func TestRecycleFlowsIsInvisible(t *testing.T) {
+	f := getFixture(t)
+	for seed := int64(1); seed <= 8; seed++ {
+		steps := randomGroupStream(f, seed)
+		got := runGated(t, f, steps, false, true)
+		want := runGated(t, f, steps, false, false)
+		if want.stats.Flows == 0 {
+			t.Fatalf("seed %d: stream classifies nothing", seed)
+		}
+		sameRun(t, seed, "recycling", got, "without", want)
 
-	p := pooledPacket(t)
-	q.Feed(p)
-	if p.SrcPort != 0 || p.DetachWire() != nil {
-		t.Error("Feed on a closed queue did not recycle the pooled packet")
+		if n := staleFlows(want); n != 0 {
+			t.Errorf("seed %d: %d retained flows changed without recycling", seed, n)
+		}
+		if n := staleFlows(got); n == 0 {
+			t.Errorf("seed %d: none of %d retained flows was reused: recycling is not happening", seed, len(got.flows))
+		}
 	}
-	p = pooledPacket(t)
-	if q.Offer(p) {
-		t.Fatal("Offer on a closed queue returned true")
-	}
-	if p.SrcPort != 0 || p.DetachWire() != nil {
-		t.Error("Offer on a closed queue did not recycle the pooled packet")
-	}
-	if got := q.Dropped(); got != 2 {
-		t.Errorf("Dropped() = %d, want 2", got)
-	}
-}
-
-// TestFullQueueOfferRecycles pins the load-shedding drop path: a
-// rejected Offer on a full queue recycles the pooled packet.
-func TestFullQueueOfferRecycles(t *testing.T) {
-	gate := make(chan struct{})
-	entered := make(chan struct{}, 8)
-	q := NewQueue(1, func(*netparse.Packet) {
-		entered <- struct{}{}
-		<-gate
-	})
-	// First packet occupies the consumer (blocked in the sink), second
-	// fills the one-slot channel.
-	q.Feed(netparse.GetPacket())
-	<-entered
-	q.Feed(netparse.GetPacket())
-
-	p := pooledPacket(t)
-	if q.Offer(p) {
-		t.Fatal("Offer on a full queue returned true")
-	}
-	if p.SrcPort != 0 || p.DetachWire() != nil {
-		t.Error("Offer on a full queue did not recycle the pooled packet")
-	}
-	if got := q.Dropped(); got != 1 {
-		t.Errorf("Dropped() = %d, want 1", got)
-	}
-	close(gate)
-	q.Close()
 }

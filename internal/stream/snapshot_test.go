@@ -162,7 +162,7 @@ func TestMonitorSnapshotRejectsCorruption(t *testing.T) {
 
 func TestQueueFlushQuiesces(t *testing.T) {
 	var sunk []int
-	q := NewQueue(64, func(p *netparse.Packet) { sunk = append(sunk, p.WireLen) })
+	q := NewBatchQueue(64, 1, func(ps []*netparse.Packet) { sunk = append(sunk, ps[0].WireLen) })
 	defer q.Close()
 	for i := 0; i < 50; i++ {
 		q.Feed(&netparse.Packet{WireLen: i})

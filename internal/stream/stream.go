@@ -105,6 +105,10 @@ type Monitor struct {
 
 	// Counters.
 	stats Stats
+
+	// pkt is the one packet FeedRecord decodes into; its Payload borrows
+	// the caller's record bytes only for the duration of the call.
+	pkt netparse.Packet
 }
 
 // Stats summarizes the monitor's activity, including the ingest-health
@@ -186,10 +190,10 @@ func (m *Monitor) Close() {
 // Malformed frames are not fatal: they increment the per-class parse
 // error counters and are otherwise ignored, which is what lets the
 // monitor ride out a corrupted or truncated capture (§7.2's gateway
-// deployment never gets pristine input).
+// deployment never gets pristine input). data is only borrowed: nothing
+// aliases it once FeedRecord returns.
 func (m *Monitor) FeedRecord(ts time.Time, data []byte) {
-	p := netparse.GetPacket()
-	defer netparse.PutPacket(p) // Feed consumes the packet synchronously
+	p := &m.pkt
 	if err := netparse.DecodeInto(p, data); err != nil {
 		m.stats.ParseErrors++
 		if m.stats.ParseErrorsByClass == nil {
@@ -200,6 +204,7 @@ func (m *Monitor) FeedRecord(ts time.Time, data []byte) {
 	}
 	p.Timestamp = ts
 	m.Feed(p)
+	p.Payload = nil
 }
 
 // Stats returns a snapshot of the monitor's counters.
