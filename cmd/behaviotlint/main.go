@@ -4,15 +4,13 @@
 //
 // Usage:
 //
-//	behaviotlint [-json] [-analyzers determinism,floateq] [-workers N] [-typecache on|off] [patterns...]
+//	behaviotlint [-json] [-analyzers determinism,floateq] [patterns...]
 //
-// Package loading and type-checking fan out across -workers goroutines
-// (0 = all cores); the findings are identical for every worker count.
-// With -typecache=on (the default) the standard library is imported
-// from the toolchain's compiled export data through an on-disk index
-// (see internal/lint/cache.go) instead of being re-type-checked from
-// $GOROOT/src on every run; -typecache=off forces the source importer.
-// Both modes produce identical findings.
+// There is one way to load a tree: every matched package is parsed and
+// type-checked in turn, the standard library through the source
+// importer ($GOROOT/src, about three seconds for this repository). A
+// package that does not type-check fails the run (exit 2) instead of
+// being analyzed with partial type information.
 //
 // Patterns follow go-tool conventions relative to the module root:
 // "./..." (default), "./internal/...", "./cmd/behaviotd". The module
@@ -28,10 +26,7 @@
 //	  "findings": [{file, line, col, analyzer, message}, ...],
 //	  "summary": {
 //	    "packages": 23, "findings": 0,
-//	    "by_analyzer": {"errcheck": 0, ...},
-//	    "load_ms": 812, "typecheck_ms": 702,
-//	    "typecheck_mode": "cache",
-//	    "analyzers_ms": {"lockguard": 41, ...}
+//	    "by_analyzer": {"errcheck": 0, ...}
 //	  }
 //	}
 //
@@ -53,7 +48,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"behaviot/internal/lint"
 )
@@ -62,16 +56,11 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// summary is the machine-readable tail of -json output; CI greps
-// typecheck_ms out of it to assert the export-data cache is effective.
+// summary is the machine-readable tail of -json output.
 type summary struct {
-	Packages      int              `json:"packages"`
-	Findings      int              `json:"findings"`
-	ByAnalyzer    map[string]int   `json:"by_analyzer"`
-	LoadMS        int64            `json:"load_ms"`
-	TypecheckMS   int64            `json:"typecheck_ms"`
-	TypecheckMode string           `json:"typecheck_mode"`
-	AnalyzersMS   map[string]int64 `json:"analyzers_ms"`
+	Packages   int            `json:"packages"`
+	Findings   int            `json:"findings"`
+	ByAnalyzer map[string]int `json:"by_analyzer"`
 }
 
 type report struct {
@@ -83,18 +72,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("behaviotlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		jsonOut   = fs.Bool("json", false, "emit findings plus a timing summary as JSON")
-		debug     = fs.Bool("debug", false, "print type-checker diagnostics to stderr")
-		analyzer  = fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
-		list      = fs.Bool("list", false, "list analyzers and exit")
-		workers   = fs.Int("workers", 0, "package loading/type-checking workers (0 = all cores); findings are identical for every value")
-		typecache = fs.String("typecache", "on", "stdlib type-check strategy: on = import compiled export data via the on-disk cache, off = re-type-check $GOROOT/src")
+		jsonOut  = fs.Bool("json", false, "emit findings plus a summary as JSON")
+		analyzer = fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
+		list     = fs.Bool("list", false, "list analyzers and exit")
 	)
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *typecache != "on" && *typecache != "off" {
-		fmt.Fprintf(stderr, "behaviotlint: -typecache must be on or off, got %q\n", *typecache)
 		return 2
 	}
 	if *list {
@@ -143,23 +125,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	}
-	loadStart := time.Now()
-	pkgs, stats, err := lint.LoadWith(root, *workers, *typecache == "on", patterns...)
-	loadDur := time.Since(loadStart)
+	loader, err := lint.NewLoader(root)
+	if err != nil {
+		fmt.Fprintln(stderr, "behaviotlint:", err)
+		return 2
+	}
+	pkgs, err := loader.Load(patterns...)
 	if err != nil {
 		fmt.Fprintln(stderr, "behaviotlint:", err)
 		return 2
 	}
 
-	perAnalyzer := make(map[string]time.Duration)
 	var findings []lint.Finding
 	for _, pkg := range pkgs {
-		if *debug {
-			for _, terr := range pkg.TypeErrors {
-				fmt.Fprintf(stderr, "behaviotlint: %s: typecheck: %v\n", pkg.Path, terr)
-			}
-		}
-		findings = append(findings, lint.CheckInto(pkg, analyzers, perAnalyzer)...)
+		findings = append(findings, lint.Check(pkg, analyzers)...)
 	}
 	for i := range findings {
 		if rel, err := filepath.Rel(root, findings[i].File); err == nil && !strings.HasPrefix(rel, "..") {
@@ -173,22 +152,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 			findings = []lint.Finding{}
 		}
 		sum := summary{
-			Packages:      len(pkgs),
-			Findings:      len(findings),
-			ByAnalyzer:    make(map[string]int),
-			LoadMS:        loadDur.Milliseconds(),
-			TypecheckMS:   time.Duration(stats.TypecheckNanos.Load()).Milliseconds(),
-			TypecheckMode: string(stats.Mode),
-			AnalyzersMS:   make(map[string]int64),
+			Packages:   len(pkgs),
+			Findings:   len(findings),
+			ByAnalyzer: make(map[string]int),
 		}
 		for _, a := range analyzers {
 			sum.ByAnalyzer[a.Name] = 0
 		}
 		for _, f := range findings {
 			sum.ByAnalyzer[f.Analyzer]++
-		}
-		for name, d := range perAnalyzer {
-			sum.AnalyzersMS[name] = d.Milliseconds()
 		}
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"behaviot/internal/lint"
@@ -29,7 +30,7 @@ func chdir(t *testing.T, dir string) {
 
 // TestSelfRunCleanTree pins the audited state of this repository:
 // `behaviotlint ./...` from the module root reports zero findings, and
-// the -json summary carries the timing fields CI consumes.
+// the -json summary counts every analyzer.
 func TestSelfRunCleanTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole repository")
@@ -39,7 +40,6 @@ func TestSelfRunCleanTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	chdir(t, root)
-	t.Setenv("BEHAVIOTLINT_CACHE_DIR", t.TempDir())
 
 	var stdout, stderr bytes.Buffer
 	code := run([]string{"-json", "./..."}, &stdout, &stderr)
@@ -61,18 +61,19 @@ func TestSelfRunCleanTree(t *testing.T) {
 			t.Errorf("by_analyzer missing %q", a.Name)
 		}
 	}
-	switch rep.Summary.TypecheckMode {
-	case "cache", "cache-cold", "source":
-	default:
-		t.Errorf("unexpected typecheck_mode %q", rep.Summary.TypecheckMode)
+}
+
+// scratchModule writes a one-file module into a temp directory and
+// makes that the working directory.
+func scratchModule(t *testing.T, name, body string) {
+	t.Helper()
+	dir := t.TempDir()
+	for file, data := range map[string]string{"go.mod": "module scratch\n\ngo 1.22\n", name: body} {
+		if err := os.WriteFile(filepath.Join(dir, file), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if rep.Summary.LoadMS < rep.Summary.TypecheckMS {
-		t.Errorf("load_ms %d < typecheck_ms %d; typecheck time must be a subset of load time",
-			rep.Summary.LoadMS, rep.Summary.TypecheckMS)
-	}
-	if _, ok := rep.Summary.AnalyzersMS["lockguard"]; !ok {
-		t.Error("analyzers_ms missing lockguard")
-	}
+	chdir(t, dir)
 }
 
 // TestBareIgnoreFailsTheRun pins the malformed-directive contract: a
@@ -80,15 +81,7 @@ func TestSelfRunCleanTree(t *testing.T) {
 // directive is counted under the "lint" pseudo-analyzer, and it
 // suppresses nothing.
 func TestBareIgnoreFailsTheRun(t *testing.T) {
-	dir := t.TempDir()
-	writeFile := func(name, body string) {
-		t.Helper()
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	writeFile("go.mod", "module scratch\n\ngo 1.22\n")
-	writeFile("bad.go", `package bad
+	scratchModule(t, "bad.go", `package bad
 
 func mayFail() error { return nil }
 
@@ -99,10 +92,9 @@ func Use() {
 	mayFail()
 }
 `)
-	chdir(t, dir)
 
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-json", "-typecache=off", "./..."}, &stdout, &stderr)
+	code := run([]string{"-json", "./..."}, &stdout, &stderr)
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
 	}
@@ -121,10 +113,30 @@ func Use() {
 	}
 }
 
-// TestTypecacheFlagValidation rejects values other than on/off.
-func TestTypecacheFlagValidation(t *testing.T) {
+// TestTypeErrorFailsTheLoad pins that a package which does not
+// type-check is a load failure (exit 2, position on stderr), never a
+// clean run: four of the five analyzers skip nodes without type
+// information and would report nothing.
+func TestTypeErrorFailsTheLoad(t *testing.T) {
+	scratchModule(t, "broken.go", `package broken
+
+func mayFail() error { return nil }
+
+func Use() {
+	mayFail()
+	undefinedName()
+}
+`)
+
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-typecache=sometimes", "./..."}, &stdout, &stderr); code != 2 {
-		t.Errorf("exit = %d, want 2", code)
+	code := run([]string{"./..."}, &stdout, &stderr)
+	if code != 2 {
+		t.Fatalf("exit = %d, want 2\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
+	}
+	if want := "broken.go:7:2: undefined: undefinedName"; !strings.Contains(stderr.String(), want) {
+		t.Errorf("stderr = %q, want it to contain %q", stderr.String(), want)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("stdout = %q, want nothing: a failed load reports no findings", stdout.String())
 	}
 }

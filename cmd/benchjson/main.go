@@ -9,12 +9,13 @@
 //	benchjson -in bench.txt            # writes BENCH_<today>.json
 //	benchjson -in bench.txt -compare BENCH_baseline.json
 //
-// With -compare the command is a performance ratchet: after writing the
+// With -compare the command is an exact ratchet: after writing the
 // report it exits nonzero if any baseline benchmark increased its
-// allocs/op (exact, zero tolerance), dropped throughput by more than
-// -throughput-tolerance on the same CPU model, or disappeared from the
-// run. The default output name honors SOURCE_DATE_EPOCH so scripted
-// runs produce a stable path.
+// allocs/op or its ckptB/op at all, or disappeared from the run. Both
+// metrics are deterministic for a fixed iteration count, so the
+// verdict is the same on every machine; wall-clock numbers are
+// archived, never compared. The default output name honors
+// SOURCE_DATE_EPOCH so scripted runs produce a stable path.
 //
 // Lines that are not benchmark results (test logs, PASS/ok trailers)
 // are ignored, so the full `go test` stream can be piped in unfiltered.
@@ -43,13 +44,10 @@ type Result struct {
 	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
 	MBPerSec    float64 `json:"mb_per_sec,omitempty"`
-	// PktsPerSec is the custom pkts/s metric the hot-path benchmarks
-	// report via b.ReportMetric.
-	PktsPerSec float64 `json:"pkts_per_sec,omitempty"`
 	// CkptBytesPerOp is the custom ckptB/op metric the checkpoint-bytes
 	// benchmark reports: average store payload bytes per checkpoint.
 	// Deterministic for a fixed iteration count, so it ratchets
-	// machine-independently like allocs/op.
+	// exactly, like allocs/op.
 	CkptBytesPerOp float64 `json:"ckpt_bytes_per_op,omitempty"`
 }
 
@@ -65,9 +63,7 @@ func main() {
 	var (
 		in      = flag.String("in", "", "input file (default: stdin)")
 		out     = flag.String("out", "", "output file (default: BENCH_<date>.json; date honors SOURCE_DATE_EPOCH)")
-		compare = flag.String("compare", "", "baseline BENCH_*.json to ratchet against: exit nonzero on any allocs/op increase, a throughput drop beyond -throughput-tolerance, or a ckptB/op growth beyond -ckpt-tolerance")
-		thrTol  = flag.Float64("throughput-tolerance", 0.10, "allowed fractional throughput drop vs the -compare baseline (0 disables throughput comparison)")
-		ckptTol = flag.Float64("ckpt-tolerance", 0.02, "allowed fractional ckptB/op growth vs the -compare baseline (the metric is deterministic; the slack only absorbs deliberate payload-shape tweaks)")
+		compare = flag.String("compare", "", "baseline BENCH_*.json to ratchet against: exit nonzero on any allocs/op or ckptB/op increase, or a baseline benchmark missing from the run")
 	)
 	flag.Parse()
 	log.SetFlags(0)
@@ -127,7 +123,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("benchjson: baseline: %v", err)
 		}
-		problems, notes := Compare(base, report, *thrTol, *ckptTol)
+		problems, notes := Compare(base, report)
 		for _, n := range notes {
 			log.Println("note:", n)
 		}
@@ -137,7 +133,7 @@ func main() {
 		if len(problems) > 0 {
 			os.Exit(1)
 		}
-		log.Printf("ratchet ok: %d baseline benchmarks within bounds of %s", len(base.Benchmarks), *compare)
+		log.Printf("ratchet ok: %d baseline benchmarks no worse than %s", len(base.Benchmarks), *compare)
 	}
 }
 
@@ -154,30 +150,18 @@ func readReport(path string) (*Report, error) {
 	return &rep, nil
 }
 
-// Compare ratchets current against baseline. Allocations are exact and
-// machine-independent, so any allocs/op increase on a baseline
-// benchmark is a regression (tolerance zero); a benchmark missing from
-// the current run is too (the ratchet must not silently lose
-// coverage). Throughput is machine-dependent: it is compared only when
-// both reports ran on the same CPU model, and only drops beyond
-// thrTol (a fraction, e.g. 0.10) fail. Improvements come back as notes
-// so the baseline can be re-tightened deliberately.
-//
-// Benchmarks carrying the ckptB/op metric ratchet on checkpoint bytes
-// instead of throughput: the metric is deterministic for a fixed
-// iteration count, so any growth beyond ckptTol is a delta-chain size
-// regression wherever the run happens — and disk-bound wall-clock
-// noise never enters the comparison.
-func Compare(baseline, current *Report, thrTol, ckptTol float64) (problems, notes []string) {
+// Compare ratchets current against baseline on the two metrics that
+// are exact and machine-independent: any allocs/op increase on a
+// baseline benchmark is a regression, and so is any ckptB/op increase
+// on one that reports it (deterministic payloads make checkpoint bytes
+// a constant for a fixed iteration count). A benchmark missing from the
+// current run fails too — the ratchet must not silently lose coverage.
+// Improvements come back as notes so the baseline can be re-tightened
+// deliberately.
+func Compare(baseline, current *Report) (problems, notes []string) {
 	cur := make(map[string]Result, len(current.Benchmarks))
 	for _, r := range current.Benchmarks {
 		cur[r.Pkg+"."+r.Name] = r
-	}
-	cpuMatch := baseline.CPU == current.CPU
-	if !cpuMatch && thrTol > 0 {
-		notes = append(notes, fmt.Sprintf(
-			"cpu mismatch (baseline %q, current %q): throughput not compared; allocs/op still ratcheted",
-			baseline.CPU, current.CPU))
 	}
 	for _, b := range baseline.Benchmarks {
 		key := b.Pkg + "." + b.Name
@@ -200,40 +184,18 @@ func Compare(baseline, current *Report, thrTol, ckptTol float64) (problems, note
 			case c.CkptBytesPerOp == 0:
 				problems = append(problems, fmt.Sprintf(
 					"%s: baseline reports ckptB/op but the current run does not", key))
-			case c.CkptBytesPerOp > b.CkptBytesPerOp*(1+ckptTol):
+			case c.CkptBytesPerOp > b.CkptBytesPerOp:
 				problems = append(problems, fmt.Sprintf(
-					"%s: checkpoint bytes regressed %.0f -> %.0f ckptB/op (more than %.0f%% growth)",
-					key, b.CkptBytesPerOp, c.CkptBytesPerOp, ckptTol*100))
+					"%s: checkpoint bytes regressed %.0f -> %.0f ckptB/op (tolerance 0)",
+					key, b.CkptBytesPerOp, c.CkptBytesPerOp))
 			case c.CkptBytesPerOp < b.CkptBytesPerOp:
 				notes = append(notes, fmt.Sprintf(
 					"%s: checkpoint bytes improved %.0f -> %.0f ckptB/op; re-baseline to lock it in",
 					key, b.CkptBytesPerOp, c.CkptBytesPerOp))
 			}
-			continue // bytes are the contract; disk-bound throughput is noise
-		}
-		if cpuMatch && thrTol > 0 {
-			bt, ct := throughput(b), throughput(c)
-			if bt > 0 && ct > 0 && ct < bt*(1-thrTol) {
-				problems = append(problems, fmt.Sprintf(
-					"%s: throughput regressed %.3g -> %.3g (more than %.0f%% drop)",
-					key, bt, ct, thrTol*100))
-			}
 		}
 	}
 	return problems, notes
-}
-
-// throughput returns a comparable rate for a result: the explicit
-// pkts/s metric when the benchmark reports one, otherwise ops/s derived
-// from ns/op.
-func throughput(r Result) float64 {
-	if r.PktsPerSec > 0 {
-		return r.PktsPerSec
-	}
-	if r.NsPerOp > 0 {
-		return 1e9 / r.NsPerOp
-	}
-	return 0
 }
 
 // Parse scans `go test -bench` output and collects every benchmark
@@ -306,8 +268,6 @@ func parseResultLine(line string) (Result, bool) {
 			res.AllocsPerOp, _ = strconv.ParseInt(val, 10, 64)
 		case "MB/s":
 			res.MBPerSec, _ = strconv.ParseFloat(val, 64)
-		case "pkts/s":
-			res.PktsPerSec, _ = strconv.ParseFloat(val, 64)
 		case "ckptB/op":
 			res.CkptBytesPerOp, _ = strconv.ParseFloat(val, 64)
 		}

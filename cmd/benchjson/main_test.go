@@ -67,63 +67,44 @@ func TestParseRejectsNonResultLines(t *testing.T) {
 	}
 }
 
-// TestParsePktsPerSec covers the custom pkts/s metric the hot-path
-// benchmarks emit via b.ReportMetric.
-func TestParsePktsPerSec(t *testing.T) {
-	rep, err := Parse(strings.NewReader(
-		"BenchmarkHotPathIngest-8  100  1200 ns/op  833333 pkts/s  0 B/op  0 allocs/op\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Benchmarks) != 1 {
-		t.Fatalf("got %d benchmarks, want 1", len(rep.Benchmarks))
-	}
-	b := rep.Benchmarks[0]
-	if b.PktsPerSec != 833333 {
-		t.Errorf("PktsPerSec = %v, want 833333", b.PktsPerSec)
-	}
-	if b.AllocsPerOp != 0 || b.BytesPerOp != 0 {
-		t.Errorf("allocs/bytes = %d/%d, want 0/0", b.AllocsPerOp, b.BytesPerOp)
-	}
+func mkReport(rs ...Result) *Report {
+	return &Report{Goos: "linux", Goarch: "amd64", CPU: "cpu0", Benchmarks: rs}
 }
 
-func mkReport(cpu string, rs ...Result) *Report {
-	return &Report{Goos: "linux", Goarch: "amd64", CPU: cpu, Benchmarks: rs}
-}
-
-// TestCompareRatchet pins the ratchet semantics: allocs are exact with
-// zero tolerance, throughput has a fractional band and only applies on
-// matching CPUs, missing benchmarks fail, improvements only note.
+// TestCompareRatchet pins the ratchet semantics: allocs/op and ckptB/op
+// are exact with zero tolerance, missing benchmarks fail, improvements
+// only note, and wall-clock numbers never enter the verdict.
 func TestCompareRatchet(t *testing.T) {
-	base := mkReport("cpu0",
-		Result{Name: "A", Pkg: "p", NsPerOp: 1000, AllocsPerOp: 0, PktsPerSec: 1e6},
+	base := mkReport(
+		Result{Name: "A", Pkg: "p", NsPerOp: 1000, AllocsPerOp: 0},
 		Result{Name: "B", Pkg: "p", NsPerOp: 1000, AllocsPerOp: 3},
 	)
 
 	t.Run("identical run passes", func(t *testing.T) {
-		problems, _ := Compare(base, base, 0.10, 0.02)
+		problems, _ := Compare(base, base)
 		if len(problems) != 0 {
 			t.Errorf("problems = %v, want none", problems)
 		}
 	})
 
 	t.Run("alloc regression fails", func(t *testing.T) {
-		cur := mkReport("cpu0",
-			Result{Name: "A", Pkg: "p", NsPerOp: 1000, AllocsPerOp: 1, PktsPerSec: 1e6},
+		cur := mkReport(
+			Result{Name: "A", Pkg: "p", NsPerOp: 1000, AllocsPerOp: 1},
 			Result{Name: "B", Pkg: "p", NsPerOp: 1000, AllocsPerOp: 3},
 		)
-		problems, _ := Compare(base, cur, 0.10, 0.02)
+		problems, _ := Compare(base, cur)
 		if len(problems) != 1 || !strings.Contains(problems[0], "allocs/op regressed 0 -> 1") {
 			t.Errorf("problems = %v, want one alloc regression", problems)
 		}
 	})
 
 	t.Run("alloc improvement notes only", func(t *testing.T) {
-		cur := mkReport("cpu0",
-			Result{Name: "A", Pkg: "p", NsPerOp: 1000, AllocsPerOp: 0, PktsPerSec: 1e6},
-			Result{Name: "B", Pkg: "p", NsPerOp: 1000, AllocsPerOp: 1},
+		// B is also nine times slower: ns/op is archived, not compared.
+		cur := mkReport(
+			Result{Name: "A", Pkg: "p", NsPerOp: 1000, AllocsPerOp: 0},
+			Result{Name: "B", Pkg: "p", NsPerOp: 9000, AllocsPerOp: 1},
 		)
-		problems, notes := Compare(base, cur, 0.10, 0.02)
+		problems, notes := Compare(base, cur)
 		if len(problems) != 0 {
 			t.Errorf("problems = %v, want none", problems)
 		}
@@ -132,95 +113,45 @@ func TestCompareRatchet(t *testing.T) {
 		}
 	})
 
-	t.Run("throughput drop beyond band fails", func(t *testing.T) {
-		cur := mkReport("cpu0",
-			Result{Name: "A", Pkg: "p", NsPerOp: 2000, AllocsPerOp: 0, PktsPerSec: 0.5e6},
-			Result{Name: "B", Pkg: "p", NsPerOp: 1000, AllocsPerOp: 3},
-		)
-		problems, _ := Compare(base, cur, 0.10, 0.02)
-		if len(problems) != 1 || !strings.Contains(problems[0], "throughput regressed") {
-			t.Errorf("problems = %v, want one throughput regression", problems)
-		}
-	})
-
-	t.Run("throughput drop within band passes", func(t *testing.T) {
-		cur := mkReport("cpu0",
-			Result{Name: "A", Pkg: "p", NsPerOp: 1050, AllocsPerOp: 0, PktsPerSec: 0.95e6},
-			Result{Name: "B", Pkg: "p", NsPerOp: 1050, AllocsPerOp: 3},
-		)
-		problems, _ := Compare(base, cur, 0.10, 0.02)
-		if len(problems) != 0 {
-			t.Errorf("problems = %v, want none", problems)
-		}
-	})
-
-	t.Run("cpu mismatch skips throughput, keeps allocs", func(t *testing.T) {
-		cur := mkReport("cpu1",
-			Result{Name: "A", Pkg: "p", NsPerOp: 9000, AllocsPerOp: 2, PktsPerSec: 0.1e6},
-			Result{Name: "B", Pkg: "p", NsPerOp: 9000, AllocsPerOp: 3},
-		)
-		problems, notes := Compare(base, cur, 0.10, 0.02)
-		if len(problems) != 1 || !strings.Contains(problems[0], "allocs/op regressed") {
-			t.Errorf("problems = %v, want only the alloc regression", problems)
-		}
-		found := false
-		for _, n := range notes {
-			if strings.Contains(n, "cpu mismatch") {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("notes = %v, want a cpu-mismatch note", notes)
-		}
-	})
-
 	t.Run("checkpoint bytes ratchet", func(t *testing.T) {
-		ckptBase := mkReport("cpu0",
-			Result{Name: "C", Pkg: "p", NsPerOp: 5e6, CkptBytesPerOp: 10000},
+		ckptBase := mkReport(
+			Result{Name: "C", Pkg: "p", NsPerOp: 5e6, CkptBytesPerOp: 60248},
 		)
-		// Growth beyond the tolerance fails, wherever it runs (the
-		// metric is machine-independent — note the CPU mismatch).
-		cur := mkReport("cpu1",
-			Result{Name: "C", Pkg: "p", NsPerOp: 5e6, CkptBytesPerOp: 10300},
+		// One byte of growth fails; disk-bound wall-clock swings never
+		// count.
+		cur := mkReport(
+			Result{Name: "C", Pkg: "p", NsPerOp: 5e6, CkptBytesPerOp: 60249},
 		)
-		problems, _ := Compare(ckptBase, cur, 0.10, 0.02)
-		if len(problems) != 1 || !strings.Contains(problems[0], "checkpoint bytes regressed") {
+		problems, _ := Compare(ckptBase, cur)
+		if len(problems) != 1 || !strings.Contains(problems[0], "checkpoint bytes regressed 60248 -> 60249") {
 			t.Errorf("problems = %v, want one checkpoint-bytes regression", problems)
 		}
-		// Growth within tolerance passes, and disk-bound wall-clock
-		// swings never count as a throughput regression.
-		cur = mkReport("cpu0",
-			Result{Name: "C", Pkg: "p", NsPerOp: 25e6, CkptBytesPerOp: 10100},
+		// One byte fewer only notes.
+		cur = mkReport(
+			Result{Name: "C", Pkg: "p", NsPerOp: 25e6, CkptBytesPerOp: 60247},
 		)
-		problems, _ = Compare(ckptBase, cur, 0.10, 0.02)
+		problems, notes := Compare(ckptBase, cur)
 		if len(problems) != 0 {
 			t.Errorf("problems = %v, want none", problems)
 		}
-		// An improvement only notes; a run that lost the metric fails.
-		cur = mkReport("cpu0",
-			Result{Name: "C", Pkg: "p", NsPerOp: 5e6, CkptBytesPerOp: 9000},
-		)
-		problems, notes := Compare(ckptBase, cur, 0.10, 0.02)
-		if len(problems) != 0 {
-			t.Errorf("problems = %v, want none", problems)
-		}
-		if len(notes) != 1 || !strings.Contains(notes[0], "checkpoint bytes improved") {
+		if len(notes) != 1 || !strings.Contains(notes[0], "checkpoint bytes improved 60248 -> 60247") {
 			t.Errorf("notes = %v, want one improvement note", notes)
 		}
-		cur = mkReport("cpu0",
+		// A run that lost the metric fails.
+		cur = mkReport(
 			Result{Name: "C", Pkg: "p", NsPerOp: 5e6},
 		)
-		problems, _ = Compare(ckptBase, cur, 0.10, 0.02)
+		problems, _ = Compare(ckptBase, cur)
 		if len(problems) != 1 || !strings.Contains(problems[0], "does not") {
 			t.Errorf("problems = %v, want one lost-metric failure", problems)
 		}
 	})
 
 	t.Run("missing benchmark fails", func(t *testing.T) {
-		cur := mkReport("cpu0",
-			Result{Name: "A", Pkg: "p", NsPerOp: 1000, AllocsPerOp: 0, PktsPerSec: 1e6},
+		cur := mkReport(
+			Result{Name: "A", Pkg: "p", NsPerOp: 1000, AllocsPerOp: 0},
 		)
-		problems, _ := Compare(base, cur, 0.10, 0.02)
+		problems, _ := Compare(base, cur)
 		if len(problems) != 1 || !strings.Contains(problems[0], "missing") {
 			t.Errorf("problems = %v, want one missing-benchmark failure", problems)
 		}

@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -22,22 +23,32 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole program behind flag parsing; taking argv and its
+// streams keeps it callable from in-process tests.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		run     = flag.String("run", "all", "comma-separated experiments: periodicity,table2,table3,table4,table5,table9,fig3,fig4a,fig4a5fold,fig4b,fig4c,deviationcases,fig5a,fig5b,headline,ablations,impairment; or train (with -store) to train and save models without running anything")
-		quick   = flag.Bool("quick", false, "use reduced-scale datasets")
-		days    = flag.Int("days", 87, "uncontrolled study length for fig5")
-		seed    = flag.Int64("seed", 2021, "generation seed")
-		workers = flag.Int("workers", 0, "generation/evaluation worker count (0 = all cores); results are identical for every value")
-		storeP  = flag.String("store", "", "model store directory: -run train saves trained models there; other runs load them instead of retraining (falling back to training if absent or damaged)")
+		runP    = fs.String("run", "all", "comma-separated experiments: periodicity,table2,table3,table4,table5,table9,fig3,fig4a,fig4a5fold,fig4b,fig4c,deviationcases,fig5a,fig5b,headline,ablations,impairment; or train (with -store) to train and save models without running anything")
+		quick   = fs.Bool("quick", false, "use reduced-scale datasets")
+		days    = fs.Int("days", 87, "uncontrolled study length for fig5")
+		seed    = fs.Int64("seed", 2021, "generation seed")
+		workers = fs.Int("workers", 0, "generation/evaluation worker count (0 = all cores); results are identical for every value")
+		storeP  = fs.String("store", "", "model store directory: -run train saves trained models there; other runs load them instead of retraining (falling back to training if absent or damaged)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	scale := experiments.PaperScale()
 	if *quick {
 		scale = experiments.QuickScale()
 		// Reduced scale also trims the uncontrolled replay unless the
 		// caller asked for a specific window.
-		if !flagSet("days") {
+		if !flagSet(fs, "days") {
 			*days = 16
 		}
 	}
@@ -45,7 +56,7 @@ func main() {
 	scale.Workers = *workers
 
 	want := map[string]bool{}
-	for _, name := range strings.Split(*run, ",") {
+	for _, name := range strings.Split(*runP, ",") {
 		want[strings.TrimSpace(strings.ToLower(name))] = true
 	}
 	all := want["all"]
@@ -64,7 +75,7 @@ func main() {
 	var lab *experiments.Lab
 	getLab := func() *experiments.Lab {
 		if lab == nil {
-			fmt.Fprintf(os.Stderr, "building lab (idle %dd, %d reps, routine %dd)...\n",
+			fmt.Fprintf(stderr, "building lab (idle %dd, %d reps, routine %dd)...\n",
 				scale.IdleDays, scale.ActivityReps, scale.RoutineDays)
 			lab = experiments.NewLab(scale)
 			// Load-many half of train-once/load-many: reuse stored models
@@ -72,11 +83,11 @@ func main() {
 			// stderr; stdout stays byte-identical with a trained lab.
 			if *storeP != "" && !want["train"] {
 				if store, err := modelstore.Open(*storeP, modelstore.Options{}); err != nil {
-					fmt.Fprintf(os.Stderr, "model store: %v; training from scratch\n", err)
+					fmt.Fprintf(stderr, "model store: %v; training from scratch\n", err)
 				} else if err := lab.LoadModels(store); err != nil {
-					fmt.Fprintf(os.Stderr, "model store: %v; training from scratch\n", err)
+					fmt.Fprintf(stderr, "model store: %v; training from scratch\n", err)
 				} else {
-					fmt.Fprintf(os.Stderr, "loaded trained models from %s (training skipped)\n", *storeP)
+					fmt.Fprintf(stderr, "loaded trained models from %s (training skipped)\n", *storeP)
 				}
 			}
 		}
@@ -85,11 +96,13 @@ func main() {
 
 	// Timings go to stderr so stdout is byte-identical across runs and
 	// machines — CI diffs it against checked-in expectations.
-	section := func(title string, run func() fmt.Stringer) {
+	emit := func(title string, start time.Time, body fmt.Stringer) {
+		fmt.Fprintf(stderr, "%s took %.1fs\n", title, time.Since(start).Seconds())
+		fmt.Fprintf(stdout, "==== %s ====\n%s\n", title, body)
+	}
+	section := func(title string, body func() fmt.Stringer) {
 		start := time.Now()
-		body := run()
-		fmt.Fprintf(os.Stderr, "%s took %.1fs\n", title, time.Since(start).Seconds())
-		fmt.Printf("==== %s ====\n%s\n", title, body)
+		emit(title, start, body())
 	}
 	ran := 0
 
@@ -98,21 +111,21 @@ func main() {
 	// saved models).
 	if want["train"] {
 		if *storeP == "" {
-			fmt.Fprintln(os.Stderr, "-run train requires -store; see -h")
-			os.Exit(2)
+			fmt.Fprintln(stderr, "-run train requires -store; see -h")
+			return 2
 		}
 		store, err := modelstore.Open(*storeP, modelstore.Options{})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "model store: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "model store: %v\n", err)
+			return 1
 		}
 		start := time.Now()
 		gen, err := getLab().SaveModels(store)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "saving models: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "saving models: %v\n", err)
+			return 1
 		}
-		fmt.Fprintf(os.Stderr, "trained and saved models to %s (generation %d) in %.1fs\n",
+		fmt.Fprintf(stderr, "trained and saved models to %s (generation %d) in %.1fs\n",
 			*storeP, gen, time.Since(start).Seconds())
 		ran++
 	}
@@ -174,26 +187,26 @@ func main() {
 		ran++
 	}
 	if selected("impairment") {
-		section("Impairment sweep", func() fmt.Stringer {
-			r, err := experiments.Impairment(getLab())
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "impairment sweep: %v\n", err)
-				os.Exit(1)
-			}
-			return r
-		})
+		start := time.Now()
+		r, err := experiments.Impairment(getLab())
+		if err != nil {
+			fmt.Fprintf(stderr, "impairment sweep: %v\n", err)
+			return 1
+		}
+		emit("Impairment sweep", start, r)
 		ran++
 	}
 	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; see -h\n", *run)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown experiment %q; see -h\n", *runP)
+		return 2
 	}
+	return 0
 }
 
 // flagSet reports whether the named flag was given on the command line.
-func flagSet(name string) bool {
+func flagSet(fs *flag.FlagSet, name string) bool {
 	set := false
-	flag.Visit(func(f *flag.Flag) {
+	fs.Visit(func(f *flag.Flag) {
 		if f.Name == name {
 			set = true
 		}

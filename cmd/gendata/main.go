@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -31,41 +32,60 @@ import (
 )
 
 func main() {
-	var (
-		out     = flag.String("out", "data", "output directory")
-		dataset = flag.String("dataset", "idle", "idle | activity | routine | uncontrolled")
-		days    = flag.Int("days", 2, "capture length in days (idle/routine/uncontrolled)")
-		reps    = flag.Int("reps", 30, "repetitions per activity (activity dataset)")
-		seed    = flag.Int64("seed", 2021, "generation seed")
-		workers = flag.Int("workers", 0, "generation worker count (0 = all cores); output is byte-identical for every value")
-	)
-	flag.Parse()
-	log.SetFlags(0)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		log.Fatal(err)
+// run is the whole program behind flag parsing; taking argv and its
+// streams keeps it callable from in-process tests. Progress lines and
+// errors both go to stderr; stdout stays empty.
+func run(args []string, _, stderr io.Writer) int {
+	fs := flag.NewFlagSet("gendata", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		out     = fs.String("out", "data", "output directory")
+		dataset = fs.String("dataset", "idle", "idle | activity | routine | uncontrolled")
+		days    = fs.Int("days", 2, "capture length in days (idle/routine/uncontrolled)")
+		reps    = fs.Int("reps", 30, "repetitions per activity (activity dataset)")
+		seed    = fs.Int64("seed", 2021, "generation seed")
+		workers = fs.Int("workers", 0, "generation worker count (0 = all cores); output is byte-identical for every value")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	logger := log.New(stderr, "", 0)
+	if err := generate(logger, *out, *dataset, *days, *reps, *seed, *workers); err != nil {
+		logger.Print(err)
+		return 1
+	}
+	return 0
+}
+
+// generate writes the device manifest and the chosen dataset into out.
+func generate(logger *log.Logger, out, dataset string, days, reps int, seed int64, workers int) error {
+	if err := os.MkdirAll(out, 0o755); err != nil {
+		return err
 	}
 	tb := testbed.New()
-	if err := writeManifest(tb, filepath.Join(*out, "devices.csv")); err != nil {
-		log.Fatal(err)
+	if err := writeManifest(tb, filepath.Join(out, "devices.csv")); err != nil {
+		return err
 	}
 
-	switch *dataset {
+	switch dataset {
 	case "idle":
-		g := testbed.NewGenerator(tb, *seed)
+		g := testbed.NewGenerator(tb, seed)
 		start := datasets.DefaultStart
-		end := start.Add(time.Duration(*days) * 24 * time.Hour)
+		end := start.Add(time.Duration(days) * 24 * time.Hour)
 		// One sorted stream per device, generated concurrently from the
 		// device's sub-seeded generator.
-		streams := parallel.Map(*workers, tb.Devices, func(_ int, d *testbed.DeviceProfile) []*netparse.Packet {
+		streams := parallel.Map(workers, tb.Devices, func(_ int, d *testbed.DeviceProfile) []*netparse.Packet {
 			dg := g.ForDevice(d.Name)
 			return testbed.MergePackets(
 				dg.BootstrapDNS(d, start.Add(-time.Minute)),
 				dg.PeriodicWindow(d, start, end))
 		})
-		writePcapStreams(filepath.Join(*out, "idle.pcap"), *workers, streams)
+		return writePcapStreams(logger, filepath.Join(out, "idle.pcap"), workers, streams)
 	case "activity":
-		g := testbed.NewGenerator(tb, *seed)
+		g := testbed.NewGenerator(tb, seed)
 		// Lay out the global schedule first (cheap), then synthesize each
 		// slot on the worker pool.
 		type job struct {
@@ -82,7 +102,7 @@ func main() {
 			jobs = append(jobs, job{dev: dev, at: at.Add(-30 * time.Second), boot: true})
 			for ai := range dev.Activities {
 				act := &dev.Activities[ai]
-				for r := 0; r < *reps; r++ {
+				for r := 0; r < reps; r++ {
 					jobs = append(jobs, job{dev: dev, act: act, at: at, rep: r})
 					labelRows = append(labelRows, fmt.Sprintf("%s,%s,%s,%s:%s",
 						at.Format(time.RFC3339), dev.Name, act.Name, dev.Name, act.Name))
@@ -90,27 +110,31 @@ func main() {
 				}
 			}
 		}
-		streams := parallel.Map(*workers, jobs, func(_ int, j job) []*netparse.Packet {
+		streams := parallel.Map(workers, jobs, func(_ int, j job) []*netparse.Packet {
 			dg := g.ForDevice(j.dev.Name)
 			if j.boot {
 				return testbed.MergePackets(dg.BootstrapDNS(j.dev, j.at))
 			}
 			return testbed.MergePackets(dg.Activity(j.dev, j.act, j.at, j.rep))
 		})
-		writePcapStreams(filepath.Join(*out, "activity.pcap"), *workers, streams)
-		writeLines(filepath.Join(*out, "activity_labels.csv"), labelRows)
+		if err := writePcapStreams(logger, filepath.Join(out, "activity.pcap"), workers, streams); err != nil {
+			return err
+		}
+		return writeLines(logger, filepath.Join(out, "activity_labels.csv"), labelRows)
 	case "routine":
-		ds := datasets.Routine(tb, *seed, datasets.DefaultStart, datasets.RoutineConfig{Days: *days, Workers: *workers})
+		ds := datasets.Routine(tb, seed, datasets.DefaultStart, datasets.RoutineConfig{Days: days, Workers: workers})
 		// The routine dataset is produced as flows; regenerate its packet
 		// stream for the pcap by re-running generation (flows retain no
 		// payloads). For pcap export we re-synthesize the same windows.
-		log.Printf("routine dataset: %d flows, %d executions (flows exported as CSV)", len(ds.Flows), len(ds.Executions))
+		logger.Printf("routine dataset: %d flows, %d executions (flows exported as CSV)", len(ds.Flows), len(ds.Executions))
 		rows := []string{"start,device,domain,proto,packets,bytes"}
 		for _, f := range ds.Flows {
 			rows = append(rows, fmt.Sprintf("%s,%s,%s,%s,%d,%d",
 				f.Start.Format(time.RFC3339Nano), f.Device, f.Domain, f.Proto, len(f.Packets), f.Bytes()))
 		}
-		writeLines(filepath.Join(*out, "routine_flows.csv"), rows)
+		if err := writeLines(logger, filepath.Join(out, "routine_flows.csv"), rows); err != nil {
+			return err
+		}
 		gt := []string{"automation,step_time,device,activity"}
 		for _, e := range ds.Executions {
 			for _, s := range e.Steps {
@@ -118,17 +142,17 @@ func main() {
 					e.AutomationID, s.Time.Format(time.RFC3339), s.Device, s.Activity))
 			}
 		}
-		writeLines(filepath.Join(*out, "routine_groundtruth.csv"), gt)
+		return writeLines(logger, filepath.Join(out, "routine_groundtruth.csv"), gt)
 	case "uncontrolled":
-		cfg := datasets.UncontrolledConfig{Days: *days, Seed: *seed, Workers: *workers}
+		cfg := datasets.UncontrolledConfig{Days: days, Seed: seed, Workers: workers}
 		incidents := datasets.DefaultIncidents(cfg)
 		// Each day is an independent function of (cfg, incidents, day);
 		// collect by day index so row order never depends on scheduling.
-		dayIdx := make([]int, *days)
+		dayIdx := make([]int, days)
 		for i := range dayIdx {
 			dayIdx[i] = i
 		}
-		perDay := parallel.Map(*workers, dayIdx, func(_ int, day int) []string {
+		perDay := parallel.Map(workers, dayIdx, func(_ int, day int) []string {
 			var rows []string
 			for _, f := range datasets.UncontrolledDay(tb, cfg, incidents, day) {
 				rows = append(rows, fmt.Sprintf("%s,%s,%s,%s,%d,%d",
@@ -140,9 +164,9 @@ func main() {
 		for _, day := range perDay {
 			rows = append(rows, day...)
 		}
-		writeLines(filepath.Join(*out, "uncontrolled_flows.csv"), rows)
+		return writeLines(logger, filepath.Join(out, "uncontrolled_flows.csv"), rows)
 	default:
-		log.Fatalf("unknown dataset %q", *dataset)
+		return fmt.Errorf("unknown dataset %q", dataset)
 	}
 }
 
@@ -151,45 +175,47 @@ func main() {
 // drains the bufio layer, so a full disk can surface the loss at
 // Close — a deferred, unchecked Close would silently truncate the
 // capture.
-func writePcapStreams(path string, workers int, streams [][]*netparse.Packet) {
+func writePcapStreams(logger *log.Logger, path string, workers int, streams [][]*netparse.Packet) error {
 	f, err := os.Create(path)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := datasets.WritePcapStreams(f, workers, streams); err != nil {
 		f.Close() //lint:ignore errcheck write error already being reported
-		log.Fatal(err)
+		return err
 	}
 	info, statErr := f.Stat()
 	if err := f.Close(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	n := 0
 	for _, s := range streams {
 		n += len(s)
 	}
 	if statErr == nil {
-		log.Printf("wrote %s: %d packets, %d bytes", path, n, info.Size())
+		logger.Printf("wrote %s: %d packets, %d bytes", path, n, info.Size())
 	}
+	return nil
 }
 
 // writeLines writes one line per entry, checking both write and Close
 // errors so a short write cannot pass silently.
-func writeLines(path string, lines []string) {
+func writeLines(logger *log.Logger, path string, lines []string) error {
 	f, err := os.Create(path)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for _, l := range lines {
 		if _, err := fmt.Fprintln(f, l); err != nil {
 			f.Close() //lint:ignore errcheck write error already being reported
-			log.Fatal(err)
+			return err
 		}
 	}
 	if err := f.Close(); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	log.Printf("wrote %s: %d rows", path, len(lines)-1)
+	logger.Printf("wrote %s: %d rows", path, len(lines)-1)
+	return nil
 }
 
 func writeManifest(tb *testbed.Testbed, path string) error {

@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"go/token"
 	"sort"
-	"time"
 )
 
 // A Finding is one rule violation at a source position.
@@ -85,40 +84,17 @@ func finding(pkg *Package, analyzer string, pos token.Pos, format string, args .
 	}
 }
 
-// Check runs the given analyzers (nil means All) over pkg and returns
-// the surviving findings after //lint:ignore suppression, sorted by
-// position.
+// Check runs the given analyzers over pkg and returns the surviving
+// findings after //lint:ignore suppression, sorted by position.
 func Check(pkg *Package, analyzers []*Analyzer) []Finding {
-	return CheckInto(pkg, analyzers, nil)
-}
-
-// CheckInto is Check with per-analyzer wall-time accounting: each
-// analyzer's run time is accumulated into elapsed under its name, and
-// directive scanning (including malformed //lint:ignore detection) is
-// charged to the pseudo-analyzer "lint". A nil map disables the
-// accounting.
-func CheckInto(pkg *Package, analyzers []*Analyzer, elapsed map[string]time.Duration) []Finding {
-	if analyzers == nil {
-		analyzers = All
-	}
-	charge := func(name string, start time.Time) {
-		if elapsed != nil {
-			elapsed[name] += time.Since(start)
-		}
-	}
-	igStart := time.Now()
 	ig := collectIgnores(pkg)
-	charge("lint", igStart)
-
 	var out []Finding
 	for _, a := range analyzers {
-		start := time.Now()
 		for _, f := range a.Run(pkg) {
 			if !ig.suppresses(f) {
 				out = append(out, f)
 			}
 		}
-		charge(a.Name, start)
 	}
 	out = append(out, ig.malformed...)
 	SortFindings(out)

@@ -11,8 +11,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync/atomic"
-	"time"
 )
 
 // A Package is one loaded, type-checked package ready for analysis.
@@ -21,16 +19,10 @@ import (
 type Package struct {
 	Path  string // import path (module-relative for repo packages)
 	Dir   string
-	Name  string
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-
-	// TypeErrors collects type-checker diagnostics. Analysis proceeds
-	// with partial type information; the driver surfaces these only
-	// under -debug since fixture packages are deliberately broken-ish.
-	TypeErrors []error
 }
 
 // A Loader parses and type-checks packages inside one module without
@@ -41,46 +33,10 @@ type Loader struct {
 	Root   string // module root directory (holds go.mod)
 	Module string // module path declared in go.mod
 
-	// Stats accumulates load-time measurements. Forked loaders share
-	// one Stats, so it reflects the whole parallel load.
-	Stats *LoadStats
-
 	fset   *token.FileSet
 	stdlib types.Importer
 	byDir  map[string]*Package
 	inFlit map[string]bool // dirs currently being loaded (cycle guard)
-}
-
-// LoadStats records where a load spent its time. Counters are atomic
-// because forked loaders in a parallel load share one instance.
-type LoadStats struct {
-	// Mode is how stdlib imports were resolved (source, cache,
-	// cache-cold).
-	Mode TypeCheckMode
-	// TypecheckNanos is time spent inside stdlib Import calls. In
-	// parallel mode those calls are serialized by lockedImporter and
-	// timed inside the lock, so the total never double-counts
-	// overlapping waiters.
-	TypecheckNanos atomic.Int64
-	// StdlibImports counts top-level stdlib Import calls.
-	StdlibImports atomic.Int64
-}
-
-// timedImporter charges the wall-clock cost of each Import call to a
-// LoadStats. It must wrap the innermost importer — inside any
-// lockedImporter — so lock-wait time is not misattributed to
-// type-checking.
-type timedImporter struct {
-	stats *LoadStats
-	imp   types.Importer
-}
-
-func (ti *timedImporter) Import(path string) (*types.Package, error) {
-	start := time.Now()
-	pkg, err := ti.imp.Import(path)
-	ti.stats.TypecheckNanos.Add(int64(time.Since(start)))
-	ti.stats.StdlibImports.Add(1)
-	return pkg, err
 }
 
 // NewLoader builds a loader for the module rooted at root. The module
@@ -95,13 +51,11 @@ func NewLoader(root string) (*Loader, error) {
 		return nil, err
 	}
 	fset := token.NewFileSet()
-	stats := &LoadStats{Mode: ModeSource}
 	return &Loader{
 		Root:   abs,
 		Module: mod,
-		Stats:  stats,
 		fset:   fset,
-		stdlib: &timedImporter{stats: stats, imp: importer.ForCompiler(fset, "source", nil)},
+		stdlib: importer.ForCompiler(fset, "source", nil),
 		byDir:  make(map[string]*Package),
 		inFlit: make(map[string]bool),
 	}, nil
@@ -200,9 +154,7 @@ func (l *Loader) expand(patterns []string) ([]string, error) {
 			if path != base && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 				return filepath.SkipDir
 			}
-			if hasGoFiles(path) {
-				add(path)
-			}
+			add(path)
 			return nil
 		})
 		if err != nil {
@@ -210,20 +162,6 @@ func (l *Loader) expand(patterns []string) ([]string, error) {
 		}
 	}
 	return dirs, nil
-}
-
-func hasGoFiles(dir string) bool {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range ents {
-		name := e.Name()
-		if !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
-			return true
-		}
-	}
-	return false
 }
 
 // LoadDir parses and type-checks the package in dir (non-test files
@@ -267,7 +205,6 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 	pkg := &Package{
 		Path:  l.importPath(abs),
 		Dir:   abs,
-		Name:  files[0].Name.Name,
 		Fset:  l.fset,
 		Files: files,
 		Info: &types.Info{
@@ -277,13 +214,14 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 			Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		},
 	}
-	conf := types.Config{
-		Importer: l,
-		Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
+	// A type error fails the load: floateq, errcheck, lockguard and
+	// maprange skip nodes without type information, so a package that
+	// does not type-check would otherwise pass them unexamined.
+	conf := types.Config{Importer: l}
+	pkg.Types, err = conf.Check(pkg.Path, l.fset, files, pkg.Info)
+	if err != nil {
+		return nil, err
 	}
-	// Type-check best-effort: analyzers tolerate missing info, and a
-	// fixture or mid-refactor package should still get syntax checks.
-	pkg.Types, _ = conf.Check(pkg.Path, l.fset, files, pkg.Info)
 	l.byDir[abs] = pkg
 	return pkg, nil
 }
@@ -310,7 +248,7 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		if pkg == nil || pkg.Types == nil {
+		if pkg == nil {
 			return nil, fmt.Errorf("no Go package at %s", path)
 		}
 		return pkg.Types, nil
