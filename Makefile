@@ -134,9 +134,11 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz='^FuzzFrameWalk$$' -fuzztime=$(FUZZTIME) ./internal/fleet/listener/
 
 ## fleet-soak: the multi-tenant soak gate, all under -race. Two halves:
-## the in-process isolation oracle (100 tenants replaying concurrently
-## must produce byte-identical event logs and snapshots to single-tenant
-## runs, across shard counts 1/4/NumCPU), and a real behaviotd
+## the in-process oracles (100 tenants replaying concurrently must
+## produce byte-identical event logs and snapshots to single-tenant
+## runs, across shard counts 1/4/NumCPU; 16 tenants sharing one trained
+## model through 5 ms checkpoints, a Restart and a Remove must too, and
+## leave the model unwritten), and a real behaviotd
 ## subprocess hosting 120 homes over a unix socket that gets SIGTERMed
 ## while half its sources are mid-stream — it must sever ingest, drain
 ## every accepted record, land a final checkpoint per tenant, exit 0,
@@ -167,12 +169,13 @@ fault-soak:
 ## (-store-full-every 4) is SIGKILLed twice mid-ingest — once while a
 ## fault injector tears the fleet's first delta-payload write — and
 ## restarted with -resume; sources recover their cursor from each
-## tenant's /status and resend the remainder. Event logs and
-## materialized model state must come out byte-identical to an
-## uninterrupted reference fleet, -verify-store must find every newest
-## delta chain intact, and no tenant may take a resume fallback. The
-## in-process half asserts the economics: the same workload
-## checkpointed differentially must cost <= 40% of the bytes of
+## tenant's /status and resend the remainder. Every relaunch must load
+## the stored model instead of training. Event logs and materialized
+## streaming state must come out byte-identical to an uninterrupted
+## reference fleet, -verify-store must find every newest delta chain and
+## the model intact, and no tenant may take a resume fallback. The
+## in-process half checks that the same workload checkpointed
+## differentially writes deltas that materialize byte-identical to
 ## full-every-time. The same gate covers the fleet of one: a single-home
 ## behaviotd replaying a capture is SIGKILLed mid-write between
 ## checkpoints, and another SIGTERMed mid-capture; each restarted with

@@ -151,11 +151,13 @@ func statusInt(body map[string]any, key string) int64 {
 // with -resume each time. Sources recover their cursor from each
 // tenant's /status (received_records is exactly what the last durable
 // checkpoint consumed, the ingest-gate invariant) and resend the
-// remainder. After the final run drains, every tenant's event log and
-// materialized model state must be byte-identical to an uninterrupted
-// reference fleet, -verify-store must find every tenant's newest delta
-// chain intact, delta generations must actually have been written, and
-// no tenant may have taken a resume fallback.
+// remainder. Every relaunch must load the model the first incarnation
+// stored rather than train. After the final run drains, every tenant's
+// event log and materialized streaming state must be byte-identical to
+// an uninterrupted reference fleet, -verify-store must find every
+// tenant's newest delta chain and the model intact, delta generations
+// must actually have been written, and no tenant may have taken a
+// resume fallback.
 func TestCrashSoakFleetSigkill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test; skipped in -short")
@@ -233,6 +235,10 @@ func TestCrashSoakFleetSigkill(t *testing.T) {
 		}
 		proc := startDaemon(t, dir, fleetArgs(vSock, vStore, vLogs, "250ms", extra...)...)
 		proc.waitForLog(t, "fleet ready", 180*time.Second)
+		if cycle > 0 {
+			// Every relaunch finds the model the first incarnation stored.
+			proc.requireModelLoaded(t)
+		}
 		ctrl := proc.controlAddr(t)
 
 		// Resume cursors: received_records is restored from the last
@@ -392,7 +398,7 @@ func TestCrashSoakFleetSigkill(t *testing.T) {
 		}
 	}
 
-	// --- Oracle 2: materialized final model state byte-identical, even
+	// --- Oracle 2: materialized final streaming state byte-identical, even
 	// though the victim's newest generation sits at the end of a delta
 	// chain and the reference's is a plain full snapshot.
 	for i := 0; i < crashSoakTenants; i++ {
@@ -412,7 +418,7 @@ func TestCrashSoakFleetSigkill(t *testing.T) {
 		if refSnap.Fingerprint != vSnap.Fingerprint {
 			t.Fatalf("tenant %s fingerprints diverged: %q vs %q", id, refSnap.Fingerprint, vSnap.Fingerprint)
 		}
-		for _, name := range []string{modelstore.FilePipeline, modelstore.FileMonitor, modelstore.FileTenant} {
+		for _, name := range []string{modelstore.FileMonitor, modelstore.FileTenant} {
 			if !bytes.Equal(refSnap.Files[name], vSnap.Files[name]) {
 				t.Errorf("tenant %s final %s differs between reference and crash-resumed fleet (%d vs %d bytes)",
 					id, name, len(refSnap.Files[name]), len(vSnap.Files[name]))
@@ -421,15 +427,16 @@ func TestCrashSoakFleetSigkill(t *testing.T) {
 	}
 
 	// --- Oracle 3: -verify-store over the victim's fleet root — every
-	// tenant's newest chain must materialize (no lost durable
-	// generations), through the same binary an operator would run.
+	// tenant's newest chain, and the stored model, must materialize (no
+	// lost durable generations), through the same binary an operator
+	// would run.
 	verify := exec.Command(os.Args[0], "-verify-store", "-store", vStore)
 	verify.Env = append(os.Environ(), "BEHAVIOTD_TEST_RUN_MAIN=1")
 	out, err := verify.CombinedOutput()
 	if err != nil {
 		t.Fatalf("-verify-store failed after the soak: %v\n%s", err, out)
 	}
-	want := fmt.Sprintf("verify-store: all %d stores recoverable", crashSoakTenants)
+	want := fmt.Sprintf("verify-store: all %d stores recoverable", crashSoakTenants+1)
 	if !strings.Contains(string(out), want) {
 		t.Errorf("-verify-store output missing %q:\n%s", want, out)
 	}

@@ -287,9 +287,9 @@ func (h homeRun) waitMidFeed(t *testing.T, victim *daemonProc, tag string) {
 }
 
 // requireSameArtifacts is the equivalence oracle: the interrupted-and-
-// resumed run's event log and final snapshot files — models, streaming
-// state and tenant state — must be byte-identical to the uninterrupted
-// reference's.
+// resumed run's event log and final snapshot files — streaming state
+// (timer anchors included) and tenant state — must be byte-identical to
+// the uninterrupted reference's.
 func (h homeRun) requireSameArtifacts(t *testing.T, ref, got string) {
 	t.Helper()
 	a, err := os.ReadFile(h.eventLog(ref))
@@ -321,7 +321,7 @@ func (h homeRun) requireSameArtifacts(t *testing.T, ref, got string) {
 	if finalA.Fingerprint != finalB.Fingerprint {
 		t.Fatalf("fingerprints diverged: %q vs %q", finalA.Fingerprint, finalB.Fingerprint)
 	}
-	for _, name := range []string{modelstore.FilePipeline, modelstore.FileMonitor, modelstore.FileTenant} {
+	for _, name := range []string{modelstore.FileMonitor, modelstore.FileTenant} {
 		if !bytes.Equal(finalA.Files[name], finalB.Files[name]) {
 			t.Errorf("final %s differs between the uninterrupted and the resumed run (%d vs %d bytes)",
 				name, len(finalA.Files[name]), len(finalB.Files[name]))
@@ -366,8 +366,8 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 // byte-identical to the uninterrupted run. This is the test that fails
 // if shutdown finalizes the monitor: the flows and the trace open at the
 // stop point would be flushed early and the resumed run would classify
-// their remainders as new flows. The resumed run must also skip
-// training and restore without a fallback.
+// their remainders as new flows. The resumed run must also load its
+// model instead of training and restore without a fallback.
 func TestSigtermResumeEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test; skipped in -short")
@@ -394,17 +394,39 @@ func TestSigtermResumeEquivalence(t *testing.T) {
 	if got := st["resume_fallbacks_total"]; got != float64(0) {
 		t.Errorf("resume_fallbacks_total = %v after resuming an intact store, want 0", got)
 	}
-	resumedLog, err := os.ReadFile(resumed.logPath)
+	resumedLog := resumed.requireModelLoaded(t)
+	if !strings.Contains(resumedLog, "fast-forwarding the feed") {
+		t.Errorf("the resumed daemon did not fast-forward its feed; log:\n%s", resumedLog)
+	}
+	h.requireSameArtifacts(t, "a", "b")
+}
+
+// modelLoadedLine is the log line of a launch that found its trained
+// model in -store's model/ namespace; every other line mentioning
+// training belongs to a training run.
+const modelLoadedLine = "(skipping training)"
+
+// trained reports whether the daemon's log shows a training run, and
+// returns the log.
+func (d *daemonProc) trained(t *testing.T) (bool, string) {
+	t.Helper()
+	data, err := os.ReadFile(d.logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Count(string(resumedLog), "training") != strings.Count(string(resumedLog), "(skipping training)") {
-		t.Errorf("the resumed daemon trained instead of loading its checkpointed models; log:\n%s", resumedLog)
+	log := string(data)
+	return strings.Count(log, "training") > strings.Count(log, modelLoadedLine), log
+}
+
+// requireModelLoaded fails unless the daemon loaded its stored model and
+// did not train, and returns its log.
+func (d *daemonProc) requireModelLoaded(t *testing.T) string {
+	t.Helper()
+	trained, log := d.trained(t)
+	if trained || !strings.Contains(log, modelLoadedLine) {
+		t.Errorf("the daemon trained instead of loading its stored model; log:\n%s", log)
 	}
-	if !strings.Contains(string(resumedLog), "(skipping training)") || !strings.Contains(string(resumedLog), "fast-forwarding the feed") {
-		t.Errorf("the resumed daemon did not resume its models and its feed; log:\n%s", resumedLog)
-	}
-	h.requireSameArtifacts(t, "a", "b")
+	return log
 }
 
 // Event-log digests recorded from the last commit that still had the

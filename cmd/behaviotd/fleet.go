@@ -15,7 +15,7 @@ import (
 	"behaviot/internal/fleet/listener"
 )
 
-// runFleet is the multi-tenant entry point: train (or load) one
+// runFleet is the multi-tenant entry point: load (or train) one
 // pipeline, stand up the tenant-sharded fleet daemon, accept ingest
 // sources over unix sockets and TCP, and serve the REST control plane.
 // SIGTERM/SIGINT sever ingest sources (each finishes the batch it is
@@ -45,15 +45,17 @@ func runFleet(o options) int {
 		fmt.Fprintln(os.Stderr, "behaviotd:", err)
 		return 1
 	}
-	pipeSnap, err := train(o, acfg)
+	// Models are tied to their training inputs; tenancy lives in store
+	// paths only. v2 is the layout with the model stored once under
+	// model/ and no pipeline.snap in tenant generations: a v1 store is a
+	// cold start.
+	fingerprint := "behaviotd/v2|mode=fleet" + inputs
+	pipeSnap, err := loadOrTrain(o, acfg, fingerprint)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "behaviotd:", err)
 		return 1
 	}
-
-	// Models are tied to their training inputs; tenancy lives in store
-	// paths only.
-	cfg := o.fleetConfig(pipeSnap, acfg, "behaviotd/v1|mode=fleet"+inputs)
+	cfg := o.fleetConfig(pipeSnap, acfg, fingerprint)
 	cfg.Shards = o.fleetShards
 	cfg.EventLogDir = o.fleetLogDir
 	d, err := fleet.New(cfg)

@@ -17,7 +17,6 @@ import (
 	"behaviot/internal/chaos"
 	"behaviot/internal/datasets"
 	"behaviot/internal/fleet"
-	"behaviot/internal/modelstore"
 	"behaviot/internal/netparse"
 	"behaviot/internal/pcapio"
 	"behaviot/internal/testbed"
@@ -66,19 +65,21 @@ func runHome(o options) int {
 	}
 
 	// The fingerprint ties store generations to the exact inputs: models
-	// to the training inputs, the cursor to the feed. v2 is the fleet
-	// layout (tenants/home/, tenant.snap): a store written by the v1
-	// single-tenant daemon is not read, so it is a cold start.
+	// to the training inputs, the cursor to the feed. v3 is the layout
+	// with the model stored once under model/ and a tenant generation
+	// holding only monitor.snap (timer anchors included) and tenant.snap:
+	// a store written under v2 (pipeline.snap in every generation) or by
+	// the v1 single-tenant daemon is not read, so it is a cold start.
 	acfg, inputs, err := trainingInputs(o)
 	if err != nil {
 		return fail(err)
 	}
-	fingerprint := "behaviotd/v2|mode=home" + inputs
+	fingerprint := "behaviotd/v3|mode=home" + inputs
 	if o.sim {
 		fingerprint += "|impair=" + impair.String()
 	}
 	if o.replay != "" {
-		// Preflight before the ~10s training run so an unreadable capture
+		// Preflight before a ~10s training run so an unreadable capture
 		// is an immediate startup error, not a mid-feed surprise.
 		if err := preflightPcap(o.replay); err != nil {
 			return fail(err)
@@ -90,11 +91,9 @@ func runHome(o options) int {
 		fingerprint += fmt.Sprintf("|replay=%08x", crc)
 	}
 
-	pipeSnap := checkpointedPipeline(o, fingerprint)
-	if pipeSnap == nil {
-		if pipeSnap, err = train(o, acfg); err != nil {
-			return fail(err)
-		}
+	pipeSnap, err := loadOrTrain(o, acfg, fingerprint)
+	if err != nil {
+		return fail(err)
 	}
 	cfg := o.fleetConfig(pipeSnap, acfg, fingerprint)
 	cfg.Shards = 1
@@ -157,31 +156,6 @@ func runHome(o options) int {
 			return 1
 		}
 	}
-}
-
-// checkpointedPipeline is the -resume shortcut past training: the
-// pipeline snapshot of the home's newest intact generation, which the
-// tenant restores from anyway, or nil when there is none and the daemon
-// cold-starts (train, then replay from the first record). The tenant
-// falling back after this succeeded — a monitor or tenant snapshot it
-// cannot decode — starts from these checkpointed models rather than
-// freshly trained ones, and counts a resume fallback.
-func checkpointedPipeline(o options, fingerprint string) []byte {
-	if !o.resume {
-		return nil
-	}
-	store, err := modelstore.OpenTenant(o.store, homeID, modelstore.Options{})
-	if err != nil {
-		log.Printf("resume: %v; starting fresh", err)
-		return nil
-	}
-	snap, err := store.Load(fingerprint)
-	if err != nil {
-		log.Printf("resume: %v; starting fresh", err)
-		return nil
-	}
-	log.Printf("resuming from store generation %d (skipping training)", snap.Generation)
-	return snap.Files[modelstore.FilePipeline]
 }
 
 // homeMux is the fleet control plane plus single-home's root aliases:
@@ -292,8 +266,8 @@ func (f *feeder) run(o options, impair chaos.Config) error {
 func (f *feeder) feed(next nextRecord) error {
 	skip := f.home.Status()["received_records"].(int64)
 	if skip == 0 {
-		// A first generation before the first record: a crash at any
-		// later point resumes with at least the trained models.
+		// A first generation before the first record: the store holds a
+		// resumable generation from the start of the feed.
 		f.home.Checkpoint()
 	} else {
 		log.Printf("fast-forwarding the feed past %d checkpointed records", skip)

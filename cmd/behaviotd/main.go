@@ -13,9 +13,12 @@
 // pcap reader resyncs past corrupt records, malformed frames are counted
 // per error class rather than fatal, and -maxskew sheds packets whose
 // clock lags stream time. All damage shows up as counters on /status and
-// /metrics. With -store the daemon checkpoints models and streaming
-// state crash-safely; SIGINT/SIGTERM stop it at a record boundary with a
-// final checkpoint, and -resume continues from the newest intact one.
+// /metrics. With -store the daemon keeps the trained model once under
+// DIR/model/ (training only when no generation there matches the
+// training inputs) and checkpoints each home's streaming state
+// crash-safely under DIR/tenants/<id>/; SIGINT/SIGTERM stop it at a
+// record boundary with a final checkpoint, and -resume continues from
+// the newest intact one without retraining.
 //
 // Endpoints (both shapes; see fleet.Daemon.RegisterHandlers):
 //
@@ -111,12 +114,12 @@ func run() int {
 	flag.BoolVar(&o.tolerant, "tolerant", false, "degrade gracefully on damaged captures: resync past corrupt pcap records, count malformed frames per class instead of aborting")
 	flag.DurationVar(&o.maxSkew, "maxskew", 0, "drop packets whose timestamp lags stream time by more than this (0 = accept any lag)")
 	flag.StringVar(&o.impair, "impair", "", "impair the -sim feed through internal/chaos, e.g. drop=0.01,corrupt=0.01,skew=50ms (requires -sim)")
-	flag.StringVar(&o.store, "store", "", "model store directory for crash-safe checkpoints, one namespace per home under tenants/ (empty = no checkpointing)")
-	flag.DurationVar(&o.ckptIvl, "checkpoint-interval", 30*time.Second, "how often to checkpoint models and streaming state into -store")
+	flag.StringVar(&o.store, "store", "", "model store directory: the trained model once under model/, crash-safe checkpoints one namespace per home under tenants/ (empty = no checkpointing, always train)")
+	flag.DurationVar(&o.ckptIvl, "checkpoint-interval", 30*time.Second, "how often to checkpoint each home's streaming state into -store")
 	flag.IntVar(&o.fullEvery, "store-full-every", 1, "differential checkpoints: write a full snapshot every N generations and deltas in between (1 = every checkpoint is full)")
-	storeFlt := flag.String("store-fault", "", "inject filesystem faults into -store writes (internal/faultfs spec, e.g. failwrite=1,tear=3,path=.delta,match=1); fault soaks only")
-	verifyF := flag.Bool("verify-store", false, "verify the -store directory (a tenants/ root or one flat store): validate every generation's delta chain, print a report, exit nonzero if any newest chain is broken")
-	flag.BoolVar(&o.resume, "resume", false, "resume from the newest intact -store snapshot: skip training (single-home), restore streaming state, fast-forward the feed to the checkpointed record")
+	storeFlt := flag.String("store-fault", "", "inject filesystem faults into -store checkpoint writes (internal/faultfs spec, e.g. failwrite=1,tear=3,path=.delta,match=1); fault soaks only")
+	verifyF := flag.Bool("verify-store", false, "verify the -store directory (its model/ and tenants/<id>/ stores, or one flat store): validate every generation's delta chain, print a report, exit nonzero if any newest chain is broken")
+	flag.BoolVar(&o.resume, "resume", false, "resume from the newest intact -store checkpoint (both shapes): restore each home's streaming state and fast-forward the feed to the checkpointed record; training runs only when -store's model/ has no generation for the training inputs")
 	flag.StringVar(&o.eventLog, "eventlog", "", "append one JSON line per user event and deviation to this file (truncated to the last checkpoint on -resume)")
 
 	fleetMode := flag.Bool("fleet", false, "multi-tenant mode: host many homes behind one daemon, ingesting over -fleet-unix/-fleet-tcp sockets (shares -listen, -maxskew, -store, -checkpoint-interval, -resume, and the -sim or -idle/-devices training inputs)")

@@ -1,17 +1,24 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"net/netip"
+	"path/filepath"
 	"time"
 
 	"behaviot/internal/core"
 	"behaviot/internal/datasets"
 	"behaviot/internal/flows"
+	"behaviot/internal/modelstore"
 	"behaviot/internal/pfsm"
 	"behaviot/internal/testbed"
 )
+
+// modelDir is where -store keeps trained models: an ordinary model store
+// beside tenants/, holding one generation per fingerprint.
+const modelDir = "model"
 
 // simHome is the bundled simulator deployment -sim trains on (and, in
 // single-home mode, synthesizes a day of traffic for).
@@ -51,6 +58,47 @@ func trainingInputs(o options) (acfg flows.Config, inputs string, err error) {
 		DeviceByIP:  deviceByIP,
 	}
 	return acfg, fmt.Sprintf("|idle=%08x|devices=%08x", idleCRC, devCRC), nil
+}
+
+// loadOrTrain returns the marshaled trained pipeline for fingerprint.
+// With -store it looks in DIR/model/ first and trains only when no
+// intact generation for the fingerprint is there; the fresh model is
+// then written back, so every later launch of either shape, resumed or
+// not, skips training. The model store keeps one generation per
+// fingerprint and bypasses -store-fault, which targets checkpoints. A
+// failed model write is logged, never fatal: the daemon runs on what it
+// trained.
+func loadOrTrain(o options, acfg flows.Config, fingerprint string) ([]byte, error) {
+	if o.store == "" {
+		return train(o, acfg)
+	}
+	dir := filepath.Join(o.store, modelDir)
+	store, err := modelstore.Open(dir, modelstore.Options{Retain: 1})
+	if err != nil {
+		log.Printf("model store: %v; training without it", err)
+		return train(o, acfg)
+	}
+	snap, err := store.Load(fingerprint)
+	if err == nil {
+		pipeSnap := snap.Files[modelstore.FilePipeline]
+		if _, err = core.UnmarshalPipeline(pipeSnap); err == nil {
+			log.Printf("loaded model generation %d from %s (skipping training)", snap.Generation, dir)
+			return pipeSnap, nil
+		}
+	}
+	if !errors.Is(err, modelstore.ErrNoSnapshot) {
+		log.Printf("model store %s: %v; training", dir, err)
+	}
+	pipeSnap, err := train(o, acfg)
+	if err != nil {
+		return nil, err
+	}
+	if gen, err := store.Write(fingerprint, map[string][]byte{modelstore.FilePipeline: pipeSnap}); err != nil {
+		log.Printf("model store: %v; the next start trains again", err)
+	} else {
+		log.Printf("stored the trained model as generation %d in %s", gen, dir)
+	}
+	return pipeSnap, nil
 }
 
 // train runs the daemon's one training recipe and returns the marshaled

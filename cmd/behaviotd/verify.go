@@ -11,13 +11,13 @@ import (
 )
 
 // runVerifyStore implements -verify-store: walk every store under the
-// -store path (a fleet root with tenants/<id>/ namespaces, or a single
-// daemon store), validate every generation's full delta chain, and
-// print a per-generation report. The exit code is the durability
-// verdict: 0 when every store's newest chain materializes (what a
-// -resume would load), nonzero when any newest chain is broken —
-// operators wire this into post-crash health checks before trusting a
-// restart.
+// -store path (a daemon root with tenants/<id>/ namespaces and the
+// model/ store, or one flat store), validate every generation's full
+// delta chain, and print a per-generation report. The exit code is the
+// durability verdict: 0 when every store's newest chain materializes
+// (what a launch or -resume would load), nonzero when any newest chain
+// is broken — operators wire this into post-crash health checks before
+// trusting a restart.
 func runVerifyStore(root string, w io.Writer) int {
 	if _, err := os.Stat(root); err != nil {
 		fmt.Fprintf(w, "behaviotd: verify-store: %v\n", err)
@@ -26,8 +26,8 @@ func runVerifyStore(root string, w io.Writer) int {
 
 	type target struct{ label, dir string }
 	var targets []target
-	// A fleet root namespaces stores under tenants/<id>/; anything else
-	// is a single daemon store.
+	// A daemon root namespaces checkpoints under tenants/<id>/ and keeps
+	// the trained model under model/; anything else is one flat store.
 	if entries, err := os.ReadDir(filepath.Join(root, "tenants")); err == nil {
 		for _, e := range entries {
 			if e.IsDir() && modelstore.ValidTenantID(e.Name()) {
@@ -42,7 +42,11 @@ func runVerifyStore(root string, w io.Writer) int {
 			fmt.Fprintf(w, "behaviotd: verify-store: %s has a tenants/ namespace but no tenant stores\n", root)
 			return 1
 		}
-	} else {
+	}
+	if st, err := os.Stat(filepath.Join(root, modelDir)); err == nil && st.IsDir() {
+		targets = append(targets, target{label: "model", dir: filepath.Join(root, modelDir)})
+	}
+	if len(targets) == 0 {
 		targets = []target{{label: "store", dir: root}}
 	}
 

@@ -138,6 +138,50 @@ func TestVerifyStoreFleet(t *testing.T) {
 	}
 }
 
+// TestVerifyStoreModel covers the daemon root's model/ store: it is
+// audited as target "model" beside the tenants, an intact generation
+// passes, and a torn one fails the check.
+func TestVerifyStoreModel(t *testing.T) {
+	root := t.TempDir()
+	tenant, err := modelstore.OpenTenant(root, "home", modelstore.Options{FullEvery: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeVerifyChain(t, tenant, 2)
+	model, err := modelstore.Open(filepath.Join(root, modelDir), modelstore.Options{Retain: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := model.Write("verify-test/v1", map[string][]byte{
+		modelstore.FilePipeline: bytes.Repeat([]byte("trained model "), 256),
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	var buf bytes.Buffer
+	if code := runVerifyStore(root, &buf); code != 0 {
+		t.Fatalf("runVerifyStore = %d with an intact model generation:\n%s", code, buf.String())
+	}
+	out := buf.String()
+	for _, want := range []string{"tenant home", "model " + filepath.Join(root, modelDir) + ": 1 generations, newest chain intact", "all 2 stores recoverable"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report missing %q:\n%s", want, out)
+		}
+	}
+
+	corruptNewestGen(t, filepath.Join(root, modelDir))
+	buf.Reset()
+	if code := runVerifyStore(root, &buf); code != 1 {
+		t.Fatalf("runVerifyStore = %d with a torn model generation, want 1:\n%s", code, buf.String())
+	}
+	out = buf.String()
+	for _, want := range []string{"model " + filepath.Join(root, modelDir) + ": 1 generations, NEWEST CHAIN BROKEN", "1 of 2 stores unrecoverable"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report missing %q:\n%s", want, out)
+		}
+	}
+}
+
 // TestVerifyStoreMissingAndEmpty pins the edge cases: a missing root is
 // an error; an empty store is recoverable (nothing to lose); a fleet
 // root whose tenants/ namespace holds no valid tenant stores is an

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"time"
@@ -234,6 +235,24 @@ func (pc *PeriodicClassifier) Classify(f *flows.Flow) bool {
 func (pc *PeriodicClassifier) Reset() {
 	pc.last = make(map[flows.GroupKey]time.Time)
 }
+
+// Fork returns a classifier that shares pc's trained models and
+// configuration by pointer and starts from a copy of its timer anchors.
+// The anchors are the only state Classify writes, so a fork classifies
+// exactly as pc would from here on without ever writing to pc.
+func (pc *PeriodicClassifier) Fork() *PeriodicClassifier {
+	f := *pc
+	f.last = maps.Clone(pc.last)
+	return &f
+}
+
+// Anchors returns the timer anchors: each group's most recent periodic
+// event time. The map is the classifier's own; callers must not modify it.
+func (pc *PeriodicClassifier) Anchors() map[flows.GroupKey]time.Time { return pc.last }
+
+// SetAnchors replaces the timer anchors, e.g. with ones restored from a
+// snapshot. The classifier takes ownership of last, which must not be nil.
+func (pc *PeriodicClassifier) SetAnchors(last map[flows.GroupKey]time.Time) { pc.last = last }
 
 // LastSeen returns the most recent periodic event time for a group and
 // whether one was observed.

@@ -60,6 +60,16 @@ func Train(idle []*flows.Flow, labeled map[string][]*flows.Flow, cfg Config) (*P
 	}, nil
 }
 
+// Fork returns a pipeline that shares every trained model of p by
+// pointer and owns a copy of the periodic timer anchors. ClassifyOne
+// and ShortTermDeviations write nothing but those anchors, so forks of
+// one pipeline may classify concurrently, and none of them writes to p.
+func (p *Pipeline) Fork() *Pipeline {
+	f := *p
+	f.Periodic = p.Periodic.Fork()
+	return &f
+}
+
 // Classify partitions flows (chronologically sorted by the caller or not —
 // they are sorted here) into events. The partition is disjoint: periodic
 // first (timer, then DBSCAN), then user-action models, then aperiodic

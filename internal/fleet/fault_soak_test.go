@@ -68,7 +68,7 @@ func TestFaultSoakPanicIsolation(t *testing.T) {
 
 	refs := make([]refRun, numStreamClasses)
 	for k := range refs {
-		refs[k] = runReference(t, fx, k)
+		refs[k] = runReference(t, fx, k, runThrough)
 	}
 
 	dir := soakDir(t)

@@ -23,8 +23,10 @@ type Config struct {
 	// registered. Default: GOMAXPROCS.
 	Shards int
 	// PipeSnap is the marshaled trained pipeline (core.MarshalPipeline
-	// bytes). Every tenant unmarshals a private copy, so tenants share
-	// trained knowledge but never mutable model state. Required.
+	// bytes). New unmarshals it once and every tenant's monitor
+	// classifies over that one read-only copy, keeping its own timer
+	// anchors (stream.NewMonitor), so tenants share the trained models
+	// but no state either of them writes. Required.
 	PipeSnap []byte
 	// Fingerprint ties tenant checkpoints to the training inputs.
 	// Tenancy is expressed in store paths, not fingerprints.
@@ -106,6 +108,7 @@ func (c Config) withDefaults() Config {
 // control plane (RegisterHandlers).
 type Daemon struct {
 	cfg    Config
+	pipe   *core.Pipeline // the trained model every tenant shares; never written
 	ring   *Ring
 	shards []*shard
 
@@ -124,11 +127,13 @@ type Daemon struct {
 // ErrClosed is returned by registry mutations after Daemon.Close.
 var ErrClosed = errors.New("fleet: daemon closed")
 
-// New builds a fleet daemon. It validates the pipeline snapshot once
-// up front so a bad snapshot fails construction, not the first Add.
+// New builds a fleet daemon. It unmarshals the pipeline snapshot once,
+// for every tenant to share, so a bad snapshot fails construction, not
+// the first Add.
 func New(cfg Config) (*Daemon, error) {
 	cfg = cfg.withDefaults()
-	if _, err := core.UnmarshalPipeline(cfg.PipeSnap); err != nil {
+	pipe, err := core.UnmarshalPipeline(cfg.PipeSnap)
+	if err != nil {
 		return nil, fmt.Errorf("fleet: pipeline snapshot: %w", err)
 	}
 	if cfg.EventLogDir != "" {
@@ -138,6 +143,7 @@ func New(cfg Config) (*Daemon, error) {
 	}
 	d := &Daemon{
 		cfg:     cfg,
+		pipe:    pipe,
 		ring:    NewRing(cfg.Shards),
 		tenants: map[string]*Tenant{},
 		pending: map[string]struct{}{},

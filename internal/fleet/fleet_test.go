@@ -453,7 +453,7 @@ func TestTenantRemoveResume(t *testing.T) {
 func TestSuspendResumeMatchesUninterrupted(t *testing.T) {
 	fx := getFixture(t)
 	const class = 0
-	ref := runReference(t, fx, class)
+	ref := runReference(t, fx, class, runThrough)
 	recs := fx.classes[class]
 
 	for cut := len(recs) / 9; cut < len(recs); cut += len(recs) / 9 {
@@ -514,7 +514,8 @@ func TestSuspendResumeMatchesUninterrupted(t *testing.T) {
 
 // TestTenantStoreNamespacing pins the on-disk layout: each tenant's
 // generations live under StoreRoot/tenants/<id>/ with the standard
-// store protocol and the fleet fingerprint.
+// store protocol and the fleet fingerprint, and hold exactly what the
+// home mutates — monitor.snap and tenant.snap, never the shared model.
 func TestTenantStoreNamespacing(t *testing.T) {
 	fx := getFixture(t)
 	dir := t.TempDir()
@@ -542,7 +543,10 @@ func TestTenantStoreNamespacing(t *testing.T) {
 		if err != nil {
 			t.Fatalf("tenant %s final checkpoint: %v", id, err)
 		}
-		for _, name := range []string{modelstore.FilePipeline, modelstore.FileMonitor, modelstore.FileTenant} {
+		if len(snap.Files) != len(oracleFiles) {
+			t.Errorf("tenant %s checkpoint holds %d files, want exactly %v", id, len(snap.Files), oracleFiles)
+		}
+		for _, name := range oracleFiles {
 			if len(snap.Files[name]) == 0 {
 				t.Errorf("tenant %s checkpoint missing %s", id, name)
 			}

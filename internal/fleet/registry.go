@@ -66,8 +66,8 @@ func (d *Daemon) Add(id, token string) (*Tenant, error) {
 	d.pending[id] = struct{}{}
 	d.mu.Unlock()
 
-	// Build outside the registry lock: construction unmarshals a
-	// pipeline copy and may touch disk, and Add must not stall
+	// Build outside the registry lock: construction may read a
+	// checkpoint and touches disk, and Add must not stall
 	// Authenticate/Get on the ingest path. The reservation makes the
 	// ID — and its store and event-log paths — exclusively ours.
 	shardIdx := d.ring.Lookup(id)

@@ -39,15 +39,16 @@ func TestResumeFallbackObservable(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Poison the store: a newer intact generation whose pipeline bytes
+	// Poison the store: a newer intact generation whose monitor bytes
 	// are garbage. Load succeeds (the generation passes every CRC) but
-	// UnmarshalPipeline cannot — a real fallback, not a cold start.
+	// UnmarshalState cannot — a real fallback, not a cold start.
 	s, err := modelstore.Open(filepath.Join(cfg.StoreRoot, "tenants", "home-1"), modelstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Write("fleet-test/v1", map[string][]byte{
-		modelstore.FilePipeline: []byte("not a pipeline snapshot"),
+		modelstore.FileMonitor: []byte("not a monitor snapshot"),
+		modelstore.FileTenant:  []byte("not a tenant snapshot"),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -78,8 +79,8 @@ func TestResumeFallbackObservable(t *testing.T) {
 	if got, ok := status["resume_fallbacks_total"].(float64); !ok || got != 1 {
 		t.Errorf("status resume_fallbacks_total = %v, want 1", status["resume_fallbacks_total"])
 	}
-	if reason, _ := status["resume_fallback_reason"].(string); !strings.Contains(reason, "pipeline snapshot") {
-		t.Errorf("status resume_fallback_reason = %q, want a pipeline-snapshot reason", reason)
+	if reason, _ := status["resume_fallback_reason"].(string); !strings.Contains(reason, "monitor snapshot") {
+		t.Errorf("status resume_fallback_reason = %q, want a monitor-snapshot reason", reason)
 	}
 	_, metrics := doJSON(t, http.MethodGet, ts.URL+"/metrics", nil)
 	if !strings.Contains(string(metrics), `behaviot_tenant_resume_fallbacks_total{tenant="home-1"} 1`) {
@@ -102,8 +103,8 @@ func TestResumeFallbackObservable(t *testing.T) {
 		}
 		if rec.Type == "resume-fallback" {
 			found = true
-			if !strings.Contains(rec.Detail, "pipeline snapshot") {
-				t.Errorf("resume-fallback line detail = %q, want a pipeline-snapshot reason", rec.Detail)
+			if !strings.Contains(rec.Detail, "monitor snapshot") {
+				t.Errorf("resume-fallback line detail = %q, want a monitor-snapshot reason", rec.Detail)
 			}
 		}
 	}

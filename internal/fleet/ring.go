@@ -1,8 +1,9 @@
 // Package fleet turns the single-deployment behaviotd pipeline into a
 // multi-tenant daemon: one process hosts many independent smart homes
 // ("tenants"), each with its own online monitor, recent-event rings,
-// event log, and crash-safe checkpoint store — the ISP-scale
-// deployment the ROADMAP's north star calls for.
+// event log, and crash-safe checkpoint store, all classifying over one
+// shared read-only trained model — the ISP-scale deployment the
+// ROADMAP's north star calls for.
 //
 // Tenants are placed on a fixed set of shards by a consistent hash
 // ring. A shard is a serialization domain: every ingest connection

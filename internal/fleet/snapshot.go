@@ -18,11 +18,13 @@ import (
 const tenantSnapVersion = 1
 
 // Checkpoint writes one generation into the tenant's namespaced store:
-// pipeline, monitor streaming state, and tenant state, captured
-// together under the shard lock — between two ingest batches, so the
-// counters, the monitor and the event-log mark describe the same
-// records, and `received` is the cursor a replaying source fast-forwards
-// to on resume. Failures are never fatal — a full disk
+// monitor streaming state (timer anchors included) and tenant state,
+// i.e. everything the home mutates — a few KB, since the shared trained
+// model is read-only and never captured. Both are taken together under
+// the shard lock, between two ingest batches, so the counters, the
+// monitor and the event-log mark describe the same records, and
+// `received` is the cursor a replaying source fast-forwards to on
+// resume. Failures are never fatal — a full disk
 // must not kill monitoring — but they are no longer silent either:
 // each failure bumps the consecutive-failure streak and the cumulative
 // counter, degrades the tenant, and schedules a backoff-paced retry
@@ -40,19 +42,17 @@ func (t *Tenant) Checkpoint() {
 	// and the slow store write run without it. Released by defer: a
 	// marshal panic unwinds into catchPanic above and must not leave
 	// shardMu held — that would deadlock every neighbor on the shard.
-	var pipeSnap, monSnap, state []byte
+	var monSnap, state []byte
 	func() {
 		t.shardMu.Lock()
 		defer t.shardMu.Unlock()
-		pipeSnap = core.MarshalPipeline(t.pipe)
 		monSnap = t.monitor.MarshalState()
 		state = t.marshalState()
 	}()
 	t.syncEventLog()
 	gen, err := t.store.Write(t.fingerprint, map[string][]byte{
-		modelstore.FilePipeline: pipeSnap,
-		modelstore.FileMonitor:  monSnap,
-		modelstore.FileTenant:   state,
+		modelstore.FileMonitor: monSnap,
+		modelstore.FileTenant:  state,
 	})
 	if err != nil {
 		failures := t.ckptFailures.Add(1)
@@ -183,9 +183,9 @@ func (t *Tenant) restoreState(data []byte) error {
 }
 
 // tryRestore attempts hot recovery from the tenant's store: load the
-// newest intact generation matching the fleet fingerprint, rebuild the
-// pipeline from snapshot bytes, and restore streaming + tenant state.
-// Any failure falls back to a fresh pipeline copy — resume is an
+// newest intact generation matching the fleet fingerprint and restore
+// streaming + tenant state over the daemon's shared pipeline. Any
+// failure falls back to a fresh monitor — resume is an
 // optimization, never a correctness requirement — but real failures
 // (anything other than a cold-start empty store) are counted and
 // surfaced: noteResumeFallback bumps the per-tenant counter that
@@ -203,25 +203,15 @@ func (t *Tenant) tryRestore(scfg stream.Config) bool {
 		}
 		return false
 	}
-	pipe, err := core.UnmarshalPipeline(snap.Files[modelstore.FilePipeline])
-	if err != nil {
-		t.noteResumeFallback(fmt.Sprintf("pipeline snapshot: %v", err))
+	m := stream.NewMonitor(t.d.pipe, t.d.cfg.AssemblerCfg, scfg)
+	if err := m.UnmarshalState(snap.Files[modelstore.FileMonitor]); err != nil {
+		t.noteResumeFallback(fmt.Sprintf("monitor snapshot: %v", err))
 		return false
 	}
-	m := stream.NewMonitor(pipe, t.d.cfg.AssemblerCfg, scfg)
-	if data := snap.Files[modelstore.FileMonitor]; len(data) > 0 {
-		if err := m.UnmarshalState(data); err != nil {
-			t.noteResumeFallback(fmt.Sprintf("monitor snapshot: %v", err))
-			return false
-		}
+	if err := t.restoreState(snap.Files[modelstore.FileTenant]); err != nil {
+		t.noteResumeFallback(fmt.Sprintf("tenant snapshot: %v", err))
+		return false
 	}
-	if data := snap.Files[modelstore.FileTenant]; len(data) > 0 {
-		if err := t.restoreState(data); err != nil {
-			t.noteResumeFallback(fmt.Sprintf("tenant snapshot: %v", err))
-			return false
-		}
-	}
-	t.pipe = pipe
 	t.monitor = m
 	t.storeGen.Store(int64(snap.Generation))
 	return true

@@ -39,13 +39,16 @@ var ErrTenantClosed = errors.New("fleet: tenant closed")
 // can tell sources which situation they hit.
 var ErrTenantQuarantined = errors.New("fleet: tenant quarantined")
 
-// Tenant is one home's complete monitoring deployment: a private
-// pipeline copy, online monitor, recent-event rings, JSONL event log,
-// and a checkpoint store namespaced under the fleet's store root. It
-// owns no goroutine: records are ingested on the caller's goroutine
-// (Ingest). Nothing in here is shared with any other tenant except the
-// shard lock (a pure serialization domain) — the isolation the
-// single≡multi byte-identity oracle pins.
+// Tenant is one home's complete monitoring deployment: an online
+// monitor, recent-event rings, JSONL event log, and a checkpoint store
+// namespaced under the fleet's store root. It owns no goroutine:
+// records are ingested on the caller's goroutine (Ingest). Every tenant
+// classifies over the daemon's one trained pipeline, which nothing
+// writes; what a home mutates (the monitor's state, timer anchors
+// included) is its own. Beyond that read-only model, nothing in here is
+// shared with any other tenant except the shard lock (a pure
+// serialization domain) — the isolation the single≡multi byte-identity
+// oracle pins.
 type Tenant struct {
 	// ID is the tenant's stable identifier (validated by
 	// modelstore.ValidTenantID; it names filesystem directories and
@@ -63,7 +66,6 @@ type Tenant struct {
 	// shardMu → ringMu → feedHub.mu; ckptMu is taken outside shardMu.
 	shardMu *sync.Mutex
 	monitor *stream.Monitor
-	pipe    *core.Pipeline
 	pkt     netparse.Packet // every record is decoded into this one packet (guarded by shardMu)
 
 	ringMu     sync.Mutex // guards events, deviations, eventLog, eventLogBytes, logBuf
@@ -121,11 +123,11 @@ type Tenant struct {
 	closed atomic.Bool
 }
 
-// newTenant builds a tenant on its assigned shard. The pipeline is a
-// private copy unmarshaled from the fleet's trained snapshot (or
-// restored from the tenant's own store when resuming), so no model
-// state is shared between tenants. resume overrides the fleet-wide
-// Resume default — Restart always resumes, whatever the config says.
+// newTenant builds a tenant on its assigned shard. Its monitor runs over
+// the daemon's shared trained pipeline, with streaming state restored
+// from the tenant's own store when resuming. resume overrides the
+// fleet-wide Resume default — Restart always resumes, whatever the
+// config says.
 func (d *Daemon) newTenant(id, token string, shardIdx int, resume bool) (*Tenant, error) {
 	t := &Tenant{
 		ID:        id,
@@ -156,12 +158,7 @@ func (d *Daemon) newTenant(id, token string, shardIdx int, resume bool) (*Tenant
 	scfg.OnDeviation = t.recordDeviation
 
 	if !resume || !t.tryRestore(scfg) {
-		pipe, err := core.UnmarshalPipeline(d.cfg.PipeSnap)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: tenant %s: pipeline snapshot: %w", id, err)
-		}
-		t.pipe = pipe
-		t.monitor = stream.NewMonitor(pipe, d.cfg.AssemblerCfg, scfg)
+		t.monitor = stream.NewMonitor(d.pipe, d.cfg.AssemblerCfg, scfg)
 	}
 
 	logPath := d.cfg.EventLogFile

@@ -20,12 +20,13 @@ func staleFlows(r gateRun) int {
 // assembler (Config.RecycleFlows, what every tenant runs) is
 // indistinguishable from one that never reuses a flow — same callbacks
 // in the same order with the same burst contents, same MarshalState
-// bytes mid-stream and at the end, same pipeline snapshot. The negative
+// bytes mid-stream and at the end. The negative
 // control is the subscriber the contract forbids: one that keeps e.Flow
 // sees its bursts rewritten under it, so the test would notice if
 // recycling silently stopped happening.
 func TestRecycleFlowsIsInvisible(t *testing.T) {
 	f := getFixture(t)
+	f.pipe.Periodic.Reset()
 	for seed := int64(1); seed <= 8; seed++ {
 		steps := randomGroupStream(f, seed)
 		got := runGated(t, f, steps, false, true)

@@ -9,8 +9,9 @@ import (
 	"behaviot/internal/snapio"
 )
 
-// monitorSnapVersion guards the streaming-state wire format.
-const monitorSnapVersion = 1
+// monitorSnapVersion guards the streaming-state wire format (version 2
+// carries the periodic timer anchors).
+const monitorSnapVersion = 2
 
 func sortedMonitorKeys[V any](m map[flows.GroupKey]V) []flows.GroupKey {
 	keys := make([]flows.GroupKey, 0, len(m))
@@ -30,11 +31,38 @@ func sortedMonitorKeys[V any](m map[flows.GroupKey]V) []flows.GroupKey {
 	return keys
 }
 
-// MarshalState serializes the monitor's streaming state: stream clock,
-// still-pending bursts, the open user trace, silence-timer state, all
-// counters, and the assembler's open flows plus learned resolver entries.
-// Trained models are NOT included — they live in the pipeline snapshot
-// (core.MarshalPipeline), which carries the classifier timer anchors.
+// encodeTimes writes a group-keyed time map in sorted key order.
+func encodeTimes(w *snapio.Writer, times map[flows.GroupKey]time.Time) {
+	keys := sortedMonitorKeys(times)
+	w.Uint(uint64(len(keys)))
+	for _, k := range keys {
+		w.String(k.Device)
+		w.String(k.Domain)
+		w.String(k.Proto)
+		w.Time(times[k])
+	}
+}
+
+// decodeTimes reads a map written by encodeTimes; check r.Err() after.
+func decodeTimes(r *snapio.Reader) map[flows.GroupKey]time.Time {
+	times := map[flows.GroupKey]time.Time{}
+	n := r.Length(4)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		k := flows.GroupKey{Device: r.String(), Domain: r.String(), Proto: r.String()}
+		t := r.Time()
+		if r.Err() == nil {
+			times[k] = t
+		}
+	}
+	return times
+}
+
+// MarshalState serializes everything the monitor mutates: stream clock,
+// still-pending bursts, the open user trace, silence-timer state, the
+// periodic classifier's timer anchors, all counters, and the assembler's
+// open flows plus learned resolver entries. The trained models are not
+// included: nothing writes them after training, so a restored monitor
+// runs over the same pipeline (core.MarshalPipeline bytes) unchanged.
 // Bytes are deterministic: all maps are written in sorted order.
 func (m *Monitor) MarshalState() []byte {
 	var w snapio.Writer
@@ -50,14 +78,7 @@ func (m *Monitor) MarshalState() []byte {
 	w.Time(m.traceStart)
 	w.Time(m.lastUser)
 
-	seen := sortedMonitorKeys(m.lastSeen)
-	w.Uint(uint64(len(seen)))
-	for _, k := range seen {
-		w.String(k.Device)
-		w.String(k.Domain)
-		w.String(k.Proto)
-		w.Time(m.lastSeen[k])
-	}
+	encodeTimes(&w, m.lastSeen)
 	sil := sortedMonitorKeys(m.silenced)
 	w.Uint(uint64(len(sil)))
 	for _, k := range sil {
@@ -66,6 +87,7 @@ func (m *Monitor) MarshalState() []byte {
 		w.String(k.Proto)
 		w.Bool(m.silenced[k])
 	}
+	encodeTimes(&w, m.pipe.Periodic.Anchors())
 
 	w.I64(m.stats.Packets)
 	w.I64(m.stats.Flows)
@@ -92,9 +114,11 @@ func (m *Monitor) MarshalState() []byte {
 }
 
 // UnmarshalState restores streaming state written by MarshalState into a
-// monitor freshly constructed with the same pipeline and configuration.
-// On error the monitor must be discarded (it may be partially restored);
-// callers fall back to a fresh monitor or an older store generation.
+// monitor freshly constructed over the same trained pipeline and
+// configuration; the restored timer anchors replace the ones the fork
+// copied. On error the monitor must be discarded (it may be partially
+// restored); callers fall back to a fresh monitor or an older store
+// generation.
 func (m *Monitor) UnmarshalState(data []byte) error {
 	r := snapio.NewReader(data)
 	if v := r.U8(); v != monitorSnapVersion && r.Err() == nil {
@@ -116,15 +140,7 @@ func (m *Monitor) UnmarshalState(data []byte) error {
 	traceStart := r.Time()
 	lastUser := r.Time()
 
-	lastSeen := map[flows.GroupKey]time.Time{}
-	n = r.Length(4)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		k := flows.GroupKey{Device: r.String(), Domain: r.String(), Proto: r.String()}
-		t := r.Time()
-		if r.Err() == nil {
-			lastSeen[k] = t
-		}
-	}
+	lastSeen := decodeTimes(r)
 	silenced := map[flows.GroupKey]bool{}
 	n = r.Length(4)
 	for i := 0; i < n && r.Err() == nil; i++ {
@@ -134,6 +150,7 @@ func (m *Monitor) UnmarshalState(data []byte) error {
 			silenced[k] = v
 		}
 	}
+	anchors := decodeTimes(r)
 
 	var stats Stats
 	stats.Packets = r.I64()
@@ -173,6 +190,7 @@ func (m *Monitor) UnmarshalState(data []byte) error {
 	m.lastUser = lastUser
 	m.lastSeen = lastSeen
 	m.silenced = silenced
+	m.pipe.Periodic.SetAnchors(anchors)
 	m.stats = stats
 	// The silence-gate cache describes the pre-restore group maps; zero
 	// forces the next check to rescan and recompute it.

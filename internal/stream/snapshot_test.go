@@ -31,11 +31,11 @@ func deviationLine(d Deviation) string {
 func TestMonitorRestoreEquivalence(t *testing.T) {
 	f := getFixture(t)
 	var contEvents, contDevs []string
+	f.pipe.Periodic.Reset()
 	mA := NewMonitor(f.pipe, f.monitorConfig(), Config{
 		OnEvent:     func(e Event) { contEvents = append(contEvents, eventLine(e)) },
 		OnDeviation: func(d Deviation) { contDevs = append(contDevs, deviationLine(d)) },
 	})
-	f.pipe.Periodic.Reset()
 
 	g := testbed.NewGenerator(f.tb, 11)
 	plug := f.tb.Device("TPLink Plug")
@@ -61,12 +61,12 @@ func TestMonitorRestoreEquivalence(t *testing.T) {
 	for _, p := range pkts[:split] {
 		mA.Feed(p)
 	}
-	pipeSnap := core.MarshalPipeline(f.pipe)
 	monSnap := mA.MarshalState()
 
-	// "Restart": a fresh pipeline from snapshot bytes, a fresh monitor
-	// restored into it.
-	restoredPipe, err := core.UnmarshalPipeline(pipeSnap)
+	// "Restart": the trained models come back unchanged from their own
+	// snapshot bytes; everything the monitor wrote, timer anchors
+	// included, comes back from monSnap alone.
+	restoredPipe, err := core.UnmarshalPipeline(core.MarshalPipeline(f.pipe))
 	if err != nil {
 		t.Fatalf("UnmarshalPipeline: %v", err)
 	}

@@ -71,7 +71,7 @@ func (c Config) withDefaults() Config {
 // Monitor consumes a packet stream and emits events and deviations.
 type Monitor struct {
 	cfg       Config
-	pipe      *core.Pipeline
+	pipe      *core.Pipeline // this monitor's fork: shared models, own timer anchors
 	assembler *flows.Assembler
 	clock     time.Time // stream time = max packet timestamp seen
 
@@ -133,11 +133,14 @@ type Stats struct {
 }
 
 // NewMonitor wraps a trained pipeline and an assembler configuration for
-// online monitoring.
+// online monitoring. The monitor never writes to pipe: it classifies
+// over pipe.Fork(), which shares the trained models and starts from a
+// copy of pipe's timer anchors. Any number of monitors, on any
+// goroutines, may therefore share one pipeline that nothing else writes.
 func NewMonitor(pipe *core.Pipeline, acfg flows.Config, cfg Config) *Monitor {
 	return &Monitor{
 		cfg:       cfg.withDefaults(),
-		pipe:      pipe,
+		pipe:      pipe.Fork(),
 		assembler: flows.NewAssembler(acfg),
 		lastSeen:  map[flows.GroupKey]time.Time{},
 		silenced:  map[flows.GroupKey]bool{},

@@ -70,10 +70,10 @@ func (f *streamFixture) monitorConfig() flows.Config {
 func TestStreamClassifiesPeriodicTraffic(t *testing.T) {
 	f := getFixture(t)
 	var events []Event
+	f.pipe.Periodic.Reset()
 	m := NewMonitor(f.pipe, f.monitorConfig(), Config{
 		OnEvent: func(e Event) { events = append(events, e) },
 	})
-	f.pipe.Periodic.Reset()
 
 	g := testbed.NewGenerator(f.tb, 5)
 	dev := f.tb.Device("TPLink Plug")
@@ -106,6 +106,7 @@ func TestStreamClassifiesPeriodicTraffic(t *testing.T) {
 func TestStreamDetectsUserEventsAndTraces(t *testing.T) {
 	f := getFixture(t)
 	var userEvents []Event
+	f.pipe.Periodic.Reset()
 	m := NewMonitor(f.pipe, f.monitorConfig(), Config{
 		OnEvent: func(e Event) {
 			if e.Class == core.EventUser {
@@ -113,7 +114,6 @@ func TestStreamDetectsUserEventsAndTraces(t *testing.T) {
 			}
 		},
 	})
-	f.pipe.Periodic.Reset()
 
 	g := testbed.NewGenerator(f.tb, 6)
 	plug := f.tb.Device("TPLink Plug")
@@ -146,10 +146,10 @@ func TestStreamDetectsUserEventsAndTraces(t *testing.T) {
 func TestStreamSilenceAlarm(t *testing.T) {
 	f := getFixture(t)
 	var devs []Deviation
+	f.pipe.Periodic.Reset()
 	m := NewMonitor(f.pipe, f.monitorConfig(), Config{
 		OnDeviation: func(d Deviation) { devs = append(devs, d) },
 	})
-	f.pipe.Periodic.Reset()
 
 	g := testbed.NewGenerator(f.tb, 7)
 	dev := f.tb.Device("TPLink Plug")
@@ -184,10 +184,10 @@ func TestStreamSilenceAlarm(t *testing.T) {
 func TestStreamSilenceRearmsAfterRecovery(t *testing.T) {
 	f := getFixture(t)
 	var devs []Deviation
+	f.pipe.Periodic.Reset()
 	m := NewMonitor(f.pipe, f.monitorConfig(), Config{
 		OnDeviation: func(d Deviation) { devs = append(devs, d) },
 	})
-	f.pipe.Periodic.Reset()
 
 	g := testbed.NewGenerator(f.tb, 8)
 	dev := f.tb.Device("TPLink Plug")
