@@ -46,7 +46,7 @@ func main() {
 	if *idlePath == "" || *devicesPath == "" {
 		log.Fatal("need at least -idle and -devices; see -h")
 	}
-	deviceByIP, err := loadDevices(*devicesPath)
+	deviceByIP, err := datasets.LoadDevices(*devicesPath)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func main() {
 			log.Fatal(err)
 		}
 		defer f.Close()
-		pkts, err := datasets.ReadPcap(bufio.NewReader(f))
+		pkts, err := datasets.ReadPcap(f)
 		if err != nil {
 			log.Fatalf("%s: %v", path, err)
 		}
@@ -139,35 +139,6 @@ func main() {
 	for _, d := range devs {
 		fmt.Printf("  [%s] %s score=%.2f %s\n", d.Kind, d.Device, d.Score, d.Detail)
 	}
-}
-
-// loadDevices parses the ip,device,vendor,category manifest.
-func loadDevices(path string) (map[netip.Addr]string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	out := map[netip.Addr]string{}
-	sc := bufio.NewScanner(f)
-	first := true
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || first {
-			first = false
-			continue
-		}
-		parts := strings.SplitN(line, ",", 4)
-		if len(parts) < 2 {
-			continue
-		}
-		ip, err := netip.ParseAddr(parts[0])
-		if err != nil {
-			return nil, fmt.Errorf("%s: bad IP %q", path, parts[0])
-		}
-		out[ip] = parts[1]
-	}
-	return out, sc.Err()
 }
 
 // labelFlows attributes activity flows to labels by time proximity: each

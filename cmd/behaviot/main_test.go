@@ -8,20 +8,24 @@ import (
 	"time"
 
 	"behaviot"
+	"behaviot/internal/datasets"
 	"behaviot/internal/flows"
 )
 
+// TestLoadDevices pins what -devices reads: a cmd/gendata manifest,
+// vendor and category columns ignored, blank lines before the header
+// or after the last row skipped.
 func TestLoadDevices(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "devices.csv")
-	content := "ip,device,vendor,category\n" +
+	content := "\nip,device,vendor,category\n" +
 		"192.168.1.10,TPLink Plug,TP-Link,Home Auto\n" +
 		"192.168.1.11,Echo Spot,Amazon,Smart Speaker\n" +
 		"\n"
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	m, err := loadDevices(path)
+	m, err := datasets.LoadDevices(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,8 +40,10 @@ func TestLoadDevices(t *testing.T) {
 func TestLoadDevicesBadIP(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "bad.csv")
-	os.WriteFile(path, []byte("ip,device\nnot-an-ip,X\n"), 0o644)
-	if _, err := loadDevices(path); err == nil {
+	if err := os.WriteFile(path, []byte("ip,device\nnot-an-ip,X\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := datasets.LoadDevices(path); err == nil {
 		t.Error("bad IP should error")
 	}
 }

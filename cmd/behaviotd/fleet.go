@@ -50,7 +50,7 @@ func runFleet(o options) int {
 	// model/ and no pipeline.snap in tenant generations: a v1 store is a
 	// cold start.
 	fingerprint := "behaviotd/v2|mode=fleet" + inputs
-	pipeSnap, err := loadOrTrain(o, acfg, fingerprint)
+	pipeSnap, err := loadOrTrain(o, acfg, inputs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "behaviotd:", err)
 		return 1

@@ -64,8 +64,10 @@ func runHome(o options) int {
 		return 1
 	}
 
-	// The fingerprint ties store generations to the exact inputs: models
-	// to the training inputs, the cursor to the feed. v3 is the layout
+	// The fingerprint ties checkpoints to the exact inputs: the model
+	// they ran over to the training inputs, the cursor to the feed. The
+	// model itself is stored under the training inputs alone (see
+	// loadOrTrain). v3 is the layout
 	// with the model stored once under model/ and a tenant generation
 	// holding only monitor.snap (timer anchors included) and tenant.snap:
 	// a store written under v2 (pipeline.snap in every generation) or by
@@ -91,7 +93,7 @@ func runHome(o options) int {
 		fingerprint += fmt.Sprintf("|replay=%08x", crc)
 	}
 
-	pipeSnap, err := loadOrTrain(o, acfg, fingerprint)
+	pipeSnap, err := loadOrTrain(o, acfg, inputs)
 	if err != nil {
 		return fail(err)
 	}

@@ -48,25 +48,19 @@
 package main
 
 import (
-	"bufio"
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"log"
 	"net"
 	"net/http"
-	"net/netip"
 	"os"
-	"strings"
 	"time"
 
 	"behaviot/internal/faultfs"
 	"behaviot/internal/fleet"
 	"behaviot/internal/flows"
-	"behaviot/internal/netparse"
 	"behaviot/internal/pcapio"
 	"behaviot/internal/stream"
 )
@@ -250,67 +244,4 @@ func openWithRetry(path string) (*os.File, error) {
 		lastErr = err
 	}
 	return nil, lastErr
-}
-
-func readPcap(path string) ([]*netparse.Packet, error) {
-	f, err := openWithRetry(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	r, err := pcapio.NewReader(bufio.NewReader(f))
-	if err != nil {
-		return nil, err
-	}
-	var out []*netparse.Packet
-	for {
-		ts, data, err := r.ReadPacket()
-		if errors.Is(err, io.EOF) {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		p, err := netparse.Decode(data)
-		if err != nil {
-			continue // skip undecodable frames, as a gateway would
-		}
-		p.Payload = append([]byte(nil), p.Payload...)
-		p.Timestamp = ts
-		out = append(out, p)
-	}
-}
-
-// loadDevices reads the device manifest: a header row, then `ip,name`
-// rows (further columns ignored). Blank lines and rows without a comma
-// are skipped.
-func loadDevices(path string) (map[netip.Addr]string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	out := map[netip.Addr]string{}
-	sc := bufio.NewScanner(f)
-	header := true
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if header {
-			header = false
-			continue
-		}
-		parts := strings.SplitN(line, ",", 4)
-		if len(parts) < 2 {
-			continue
-		}
-		ip, err := netip.ParseAddr(parts[0])
-		if err != nil {
-			return nil, fmt.Errorf("%s: bad IP %q", path, parts[0])
-		}
-		out[ip] = parts[1]
-	}
-	return out, sc.Err()
 }

@@ -34,8 +34,9 @@ func modelGens(t *testing.T, store string) []string {
 // stores one model generation; later ones, -resume or not, load it
 // instead of training and leave it the only generation; a flipped byte
 // in the stored pipeline.snap fails its CRC check, so the next launch
-// trains again and replaces the generation. Every launch writes the
-// same event log.
+// trains again and replaces the generation. Every launch over the same
+// capture writes the same event log, and a launch over a different
+// -replay capture loads the same model.
 func TestModelStoreTrainsOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test; skipped in -short")
@@ -103,6 +104,16 @@ func TestModelStoreTrainsOnce(t *testing.T) {
 	}
 	if _, err := s.Load(""); err != nil {
 		t.Errorf("the retrained model generation does not load: %v", err)
+	}
+
+	// Another -replay capture changes the checkpoint fingerprint, not
+	// what training reads: the stored model still serves.
+	gen = modelGens(t, store)[0]
+	other := h
+	other.replay = h.idle
+	other.runToCompletion(t, "a").requireModelLoaded(t)
+	if gens := modelGens(t, store); len(gens) != 1 || gens[0] != gen {
+		t.Errorf("after a launch over another capture the model store holds %v, want only %s", gens, gen)
 	}
 }
 

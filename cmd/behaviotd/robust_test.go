@@ -264,8 +264,8 @@ func TestMetricsCheckpointAgeGauge(t *testing.T) {
 	}
 }
 
-// TestLoadDevicesHeaderSkip pins the manifest reader: the first
-// non-blank row is the header wherever it sits, CRLF endings are
+// TestLoadDevicesHeaderSkip pins the manifest reader -devices uses: the
+// first non-blank row is the header wherever it sits, CRLF endings are
 // tolerated, and a row without a comma is skipped rather than fatal.
 func TestLoadDevicesHeaderSkip(t *testing.T) {
 	for _, tc := range []struct {
@@ -285,7 +285,7 @@ func TestLoadDevicesHeaderSkip(t *testing.T) {
 		if err := os.WriteFile(path, []byte(tc.csv), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, err := loadDevices(path)
+		got, err := datasets.LoadDevices(path)
 		if tc.wantErr != "" {
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.wantErr)

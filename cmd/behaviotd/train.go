@@ -20,6 +20,12 @@ import (
 // beside tenants/, holding one generation per fingerprint.
 const modelDir = "model"
 
+// modelKey prefixes a stored model's fingerprint, which is otherwise
+// exactly trainingInputs' inputs string: nothing else — shape, -replay,
+// -impair — changes what training produces, so nothing else may force a
+// retrain or leave a second generation behind.
+const modelKey = "behaviotd/model/v1"
+
 // simHome is the bundled simulator deployment -sim trains on (and, in
 // single-home mode, synthesizes a day of traffic for).
 func simHome() (*testbed.Testbed, []*testbed.DeviceProfile) {
@@ -41,7 +47,7 @@ func trainingInputs(o options) (acfg flows.Config, inputs string, err error) {
 		tb, _ := simHome()
 		return flows.Config{LocalPrefix: tb.LocalPrefix, DeviceByIP: tb.DeviceByIP()}, "-sim", nil
 	}
-	deviceByIP, err := loadDevices(o.devices)
+	deviceByIP, err := datasets.LoadDevices(o.devices)
 	if err != nil {
 		return flows.Config{}, "", fmt.Errorf("loading device manifest: %w", err)
 	}
@@ -60,15 +66,15 @@ func trainingInputs(o options) (acfg flows.Config, inputs string, err error) {
 	return acfg, fmt.Sprintf("|idle=%08x|devices=%08x", idleCRC, devCRC), nil
 }
 
-// loadOrTrain returns the marshaled trained pipeline for fingerprint.
-// With -store it looks in DIR/model/ first and trains only when no
-// intact generation for the fingerprint is there; the fresh model is
+// loadOrTrain returns the marshaled pipeline trained from inputs. With
+// -store it looks in DIR/model/ first and trains only when no intact
+// generation for those inputs is there; the fresh model is
 // then written back, so every later launch of either shape, resumed or
 // not, skips training. The model store keeps one generation per
 // fingerprint and bypasses -store-fault, which targets checkpoints. A
 // failed model write is logged, never fatal: the daemon runs on what it
 // trained.
-func loadOrTrain(o options, acfg flows.Config, fingerprint string) ([]byte, error) {
+func loadOrTrain(o options, acfg flows.Config, inputs string) ([]byte, error) {
 	if o.store == "" {
 		return train(o, acfg)
 	}
@@ -78,6 +84,7 @@ func loadOrTrain(o options, acfg flows.Config, fingerprint string) ([]byte, erro
 		log.Printf("model store: %v; training without it", err)
 		return train(o, acfg)
 	}
+	fingerprint := modelKey + inputs
 	snap, err := store.Load(fingerprint)
 	if err == nil {
 		pipeSnap := snap.Files[modelstore.FilePipeline]
@@ -108,7 +115,12 @@ func loadOrTrain(o options, acfg flows.Config, fingerprint string) ([]byte, erro
 // otherwise the idle capture trains periodic models only.
 func train(o options, acfg flows.Config) ([]byte, error) {
 	if !o.sim {
-		idlePkts, err := readPcap(o.idle)
+		f, err := openWithRetry(o.idle)
+		if err != nil {
+			return nil, fmt.Errorf("reading idle capture: %w", err)
+		}
+		defer f.Close()
+		idlePkts, err := datasets.ReadPcap(f)
 		if err != nil {
 			return nil, fmt.Errorf("reading idle capture: %w", err)
 		}

@@ -15,8 +15,8 @@ import (
 	"time"
 
 	"behaviot"
+	"behaviot/examples/mudprofile/mud"
 	"behaviot/internal/datasets"
-	"behaviot/internal/mud"
 	"behaviot/internal/testbed"
 )
 

@@ -2,10 +2,16 @@ package datasets
 
 import (
 	"bytes"
+	"net/netip"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"behaviot/internal/flows"
+	"behaviot/internal/netparse"
+	"behaviot/internal/pcapio"
 	"behaviot/internal/testbed"
 )
 
@@ -292,6 +298,106 @@ func TestPcapRoundTripPreservesPipelineView(t *testing.T) {
 		if !a.Start.Equal(b.Start) {
 			t.Fatalf("flow %d start differs", i)
 		}
+	}
+}
+
+// TestReadPcapSkipsUndecodableFrames: a frame that does not decode is
+// dropped, and the packets around it still come back in order.
+func TestReadPcapSkipsUndecodableFrames(t *testing.T) {
+	tb := testbed.New()
+	dev := tb.Device("TPLink Plug")
+	pkts := testbed.NewGenerator(tb, 1).BootstrapDNS(dev, DefaultStart)
+	recs, err := EncodePackets(pkts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	w, err := pcapio.NewNanoWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range recs {
+		if i == 1 {
+			if err := w.WritePacket(r.Time, []byte{0xde, 0xad}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.WritePacket(r.Time, r.Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := netparse.Decode([]byte{0xde, 0xad}); err == nil {
+		t.Fatal("the junk frame decodes; the test needs one that does not")
+	}
+	got, err := ReadPcap(&buf)
+	if err != nil {
+		t.Fatalf("ReadPcap: %v", err)
+	}
+	if len(got) != len(pkts) {
+		t.Fatalf("read %d packets, want the %d that decode", len(got), len(pkts))
+	}
+	for i, p := range got {
+		if !p.Timestamp.Equal(pkts[i].Timestamp) || p.WireLen != len(recs[i].Data) {
+			t.Fatalf("packet %d = %v/%d bytes, want %v/%d", i, p.Timestamp, p.WireLen, pkts[i].Timestamp, len(recs[i].Data))
+		}
+	}
+}
+
+// TestLoadDevices pins the device-manifest reader both commands use: the
+// first non-blank row is the header wherever it sits, CRLF endings are
+// tolerated, a row without a comma is skipped, columns past the name are
+// ignored, and a bad address after the header is an error.
+func TestLoadDevices(t *testing.T) {
+	for _, tc := range []struct {
+		name, csv string
+		want      map[string]string // ip → device
+		wantErr   string
+	}{
+		{"gendata manifest", "ip,device,vendor,category\n192.168.1.10,TPLink Plug,TP-Link,Home Auto\n192.168.1.11,Echo Spot,Amazon,Smart Speaker\n\n",
+			map[string]string{"192.168.1.10": "TPLink Plug", "192.168.1.11": "Echo Spot"}, ""},
+		{"plain", "ip,name\n192.168.0.2,plug\n192.168.0.3,bulb\n",
+			map[string]string{"192.168.0.2": "plug", "192.168.0.3": "bulb"}, ""},
+		{"leading blank line", "\nip,device,vendor,category\n192.168.0.2,plug,TP-Link,Home Auto\n",
+			map[string]string{"192.168.0.2": "plug"}, ""},
+		{"blank lines throughout", "\n\nip,name\n\n192.168.0.2,plug\n\n",
+			map[string]string{"192.168.0.2": "plug"}, ""},
+		{"crlf", "ip,name\r\n192.168.0.2,plug\r\n192.168.0.3,bulb\r\n",
+			map[string]string{"192.168.0.2": "plug", "192.168.0.3": "bulb"}, ""},
+		{"short row", "ip,name\n192.168.0.2\n192.168.0.3,bulb\n",
+			map[string]string{"192.168.0.3": "bulb"}, ""},
+		{"extra columns", "ip,name,mac,notes\n192.168.0.2,plug,aa:bb,x,y\n",
+			map[string]string{"192.168.0.2": "plug"}, ""},
+		{"bad ip after header", "ip,name\nnot-an-ip,plug\n", nil, `bad IP "not-an-ip"`},
+	} {
+		path := filepath.Join(t.TempDir(), "devices.csv")
+		if err := os.WriteFile(path, []byte(tc.csv), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := LoadDevices(path)
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if len(got) != len(tc.want) {
+			t.Errorf("%s: %d devices %v, want %v", tc.name, len(got), got, tc.want)
+		}
+		for ip, name := range tc.want {
+			if got[netip.MustParseAddr(ip)] != name {
+				t.Errorf("%s: %s = %q, want %q", tc.name, ip, got[netip.MustParseAddr(ip)], name)
+			}
+		}
+	}
+	if _, err := LoadDevices(filepath.Join(t.TempDir(), "missing.csv")); err == nil {
+		t.Error("a missing manifest loaded without error")
 	}
 }
 

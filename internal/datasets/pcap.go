@@ -1,9 +1,13 @@
 package datasets
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
+	"net/netip"
+	"os"
+	"strings"
 
 	"behaviot/internal/netparse"
 	"behaviot/internal/parallel"
@@ -85,7 +89,9 @@ func WritePcapStreams(w io.Writer, workers int, streams [][]*netparse.Packet) er
 	return pw.Flush()
 }
 
-// ReadPcap decodes a pcap file back into a packet stream.
+// ReadPcap decodes a pcap file back into a packet stream. Frames that do
+// not decode are skipped, as a gateway would; a damaged pcap record is an
+// error.
 func ReadPcap(r io.Reader) ([]*netparse.Packet, error) {
 	pr, err := pcapio.NewReader(r)
 	if err != nil {
@@ -102,11 +108,46 @@ func ReadPcap(r io.Reader) ([]*netparse.Packet, error) {
 		}
 		p, err := netparse.Decode(data)
 		if err != nil {
-			return nil, err
+			continue
 		}
 		// Detach the payload from the read buffer.
 		p.Payload = append([]byte(nil), p.Payload...)
 		p.Timestamp = ts
 		out = append(out, p)
 	}
+}
+
+// LoadDevices reads a device manifest: a header row, then `ip,name` rows
+// (further columns, such as cmd/gendata's vendor and category, are
+// ignored). The first non-blank line is the header wherever it sits;
+// blank lines and rows without a comma are skipped.
+func LoadDevices(path string) (map[netip.Addr]string, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	out := map[netip.Addr]string{}
+	sc := bufio.NewScanner(f)
+	header := true
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" {
+			continue
+		}
+		if header {
+			header = false
+			continue
+		}
+		parts := strings.SplitN(line, ",", 4)
+		if len(parts) < 2 {
+			continue
+		}
+		ip, err := netip.ParseAddr(parts[0])
+		if err != nil {
+			return nil, fmt.Errorf("%s: bad IP %q", path, parts[0])
+		}
+		out[ip] = parts[1]
+	}
+	return out, sc.Err()
 }

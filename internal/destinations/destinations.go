@@ -12,12 +12,7 @@
 // (e.g. "a2z.com" belongs to Amazon).
 package destinations
 
-import (
-	"strings"
-	"sync"
-
-	"behaviot/internal/lru"
-)
+import "strings"
 
 // Party is the destination's relationship to the device vendor.
 type Party uint8
@@ -127,48 +122,10 @@ func Org(domain string) string {
 	return best
 }
 
-// destKey and destInfo are the memo entries for the classification
-// cache: the suffix tables above are immutable after init, so a
-// (vendor, domain) pair always classifies the same way and the linear
-// table walks plus ToLower allocations only need to run once per
-// distinct pair.
-type destKey struct{ vendor, domain string }
-
-type destInfo struct {
-	party     Party
-	essential bool
-}
-
-var (
-	cacheMu sync.Mutex
-	cache   = lru.New[destKey, destInfo](1024)
-)
-
-// lookup memoizes the full classification for a (vendor, domain) pair.
-// The pure computation runs outside the lock; a racing duplicate
-// compute is idempotent.
-func lookup(vendor, domain string) destInfo {
-	k := destKey{vendor: vendor, domain: domain}
-	cacheMu.Lock()
-	if v, ok := cache.Get(k); ok {
-		cacheMu.Unlock()
-		return v
-	}
-	cacheMu.Unlock()
-	party := classify(vendor, domain)
-	v := destInfo{party: party, essential: essential(domain, party)}
-	cacheMu.Lock()
-	cache.Put(k, v)
-	cacheMu.Unlock()
-	return v
-}
-
 // Classify determines the party of a destination domain for a device made
 // by the given vendor. Unknown organizations are third party, as in the
 // paper.
-func Classify(vendor, domain string) Party { return lookup(vendor, domain).party }
-
-func classify(vendor, domain string) Party {
+func Classify(vendor, domain string) Party {
 	domain = strings.ToLower(strings.TrimSuffix(domain, "."))
 	for _, s := range infraSuffixes {
 		if domain == s || strings.HasSuffix(domain, "."+s) {
@@ -201,10 +158,8 @@ func classify(vendor, domain string) Party {
 // cloud endpoints and AWS IoT endpoints are essential; analytics,
 // advertising and generic CDN endpoints are not. NTP and DNS infrastructure
 // is essential.
-func Essential(vendor, domain string) bool { return lookup(vendor, domain).essential }
-
-func essential(domain string, party Party) bool {
-	switch party {
+func Essential(vendor, domain string) bool {
+	switch Classify(vendor, domain) {
 	case First:
 		// Vendor advertising/metrics endpoints are the first-party
 		// exceptions: functional endpoints are essential, telemetry is not.

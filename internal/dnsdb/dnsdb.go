@@ -11,7 +11,6 @@ import (
 	"net/netip"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // Source records where a resolution came from.
@@ -50,16 +49,7 @@ type DB struct {
 	mu      sync.RWMutex // guards entries, reverse
 	entries map[netip.Addr]entry
 	reverse map[netip.Addr]string // static reverse-DNS fallback
-
-	// gen counts mutations, so read-side caches (the flow assembler's
-	// lookup LRU) can invalidate without holding the lock.
-	gen atomic.Uint64
 }
-
-// Gen returns the mutation generation: it changes whenever an entry is
-// added or replaced, and lookups performed at an unchanged generation
-// would return unchanged results. Caches key their validity on it.
-func (d *DB) Gen() uint64 { return d.gen.Load() }
 
 // AddDNS records a domain learned from a DNS answer for ip.
 func (d *DB) AddDNS(ip netip.Addr, domain string) { d.add(ip, domain, SourceDNS) }
@@ -76,7 +66,6 @@ func (d *DB) AddReverse(ip netip.Addr, domain string) {
 		d.reverse = make(map[netip.Addr]string)
 	}
 	d.reverse[ip] = domain
-	d.gen.Add(1)
 }
 
 func (d *DB) add(ip netip.Addr, domain string, src Source) {
@@ -88,16 +77,10 @@ func (d *DB) add(ip netip.Addr, domain string, src Source) {
 	if d.entries == nil {
 		d.entries = make(map[netip.Addr]entry)
 	}
-	if cur, ok := d.entries[ip]; ok {
-		if cur.source > src {
-			return // a higher-priority source already named this IP
-		}
-		if cur.source == src && cur.domain == domain {
-			return // no change; keep caches valid
-		}
+	if cur, ok := d.entries[ip]; ok && cur.source > src {
+		return // a higher-priority source already named this IP
 	}
 	d.entries[ip] = entry{domain: domain, source: src}
-	d.gen.Add(1)
 }
 
 // Lookup resolves ip to a domain name, returning the empty string when no

@@ -74,5 +74,4 @@ func (d *DB) DecodeSnapshot(r *snapio.Reader) {
 	defer d.mu.Unlock()
 	d.entries = entries
 	d.reverse = reverse
-	d.gen.Add(1)
 }

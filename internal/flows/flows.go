@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"behaviot/internal/dnsdb"
-	"behaviot/internal/lru"
 	"behaviot/internal/netparse"
 )
 
@@ -136,22 +135,11 @@ type Assembler struct {
 	// free holds recycled Flow structs (with their Packets capacity)
 	// for reuse by new bursts; see Recycle for the ownership contract.
 	free []*Flow
-
-	// lookup fronts Resolver.Lookup with a small LRU so per-burst
-	// annotation skips the resolver's lock and map on repeat
-	// destinations; lookupGen is the resolver generation the cached
-	// entries were observed at.
-	lookup    *lru.Cache[netip.Addr, string]
-	lookupGen uint64
 }
 
 // maxFreeFlows bounds the recycle freelist; flows recycled beyond it are
 // left to the garbage collector.
 const maxFreeFlows = 4096
-
-// lookupCacheSize bounds the resolver-fronting LRU. Home deployments
-// talk to far fewer distinct destinations than this.
-const lookupCacheSize = 512
 
 // flowKey identifies an in-progress flow: device plus the device-oriented
 // 5-tuple.
@@ -165,7 +153,6 @@ func NewAssembler(cfg Config) *Assembler {
 	return &Assembler{
 		cfg:    cfg.withDefaults(),
 		active: make(map[flowKey]*Flow),
-		lookup: lru.New[netip.Addr, string](lookupCacheSize),
 	}
 }
 
@@ -345,27 +332,12 @@ func (a *Assembler) finish(out []*Flow) []*Flow {
 	return out
 }
 
-// annotate fills the flow's domain from the resolver, through the
-// assembler's LRU. Cached entries are valid for one resolver
-// generation: any resolver mutation resets the cache wholesale (adds
-// are bursty at startup and rare at steady state, so the reset is
-// cheaper than per-entry invalidation).
+// annotate fills the flow's domain from the resolver as it stands when
+// the burst closes, so a name learned mid-stream reaches the next burst.
 func (a *Assembler) annotate(f *Flow) {
-	if f.Domain != "" {
-		return
+	if f.Domain == "" {
+		f.Domain = a.cfg.Resolver.Lookup(f.Tuple.DstIP)
 	}
-	ip := f.Tuple.DstIP
-	if gen := a.cfg.Resolver.Gen(); gen != a.lookupGen {
-		a.lookup.Reset()
-		a.lookupGen = gen
-	}
-	if d, ok := a.lookup.Get(ip); ok {
-		f.Domain = d
-		return
-	}
-	d := a.cfg.Resolver.Lookup(ip)
-	a.lookup.Put(ip, d)
-	f.Domain = d
 }
 
 // protoLabel derives the protocol label from the tuple.

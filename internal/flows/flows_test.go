@@ -212,6 +212,55 @@ func TestSNIAnnotation(t *testing.T) {
 	}
 }
 
+// TestAnnotationFollowsResolverUpdates pins that a burst is named from
+// the resolver as it stands when the burst closes: a DNS answer learned
+// mid-stream names the next burst to that IP, and a later SNI for the
+// same IP does not displace it (DNS outranks SNI).
+func TestAnnotationFollowsResolverUpdates(t *testing.T) {
+	a := NewAssembler(testConfig())
+	burst := func(at time.Time, payload []byte) string {
+		t.Helper()
+		p := pkt(at, devIP, cloud2IP, 40000, 443, netparse.ProtoTCP, 100)
+		p.Payload = payload
+		a.Add(p)
+		for _, f := range a.FlushClosed(at.Add(2 * time.Second)) {
+			if f.Tuple.DstIP == cloud2IP {
+				return f.Domain
+			}
+		}
+		t.Fatalf("no burst to %v closed by %v", cloud2IP, at.Add(2*time.Second))
+		return ""
+	}
+
+	if got := burst(base, nil); got != "" {
+		t.Fatalf("burst before any name = %q, want blank", got)
+	}
+	answer, err := netparse.EncodeDNS(&netparse.DNSMessage{
+		ID: 7, Response: true,
+		Answers: []netparse.DNSAnswer{{
+			Name: "mqtt.tplinkcloud.com", Type: netparse.DNSTypeA,
+			Class: netparse.DNSClassIN, TTL: 300, IP: cloud2IP,
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dns := pkt(base.Add(5*time.Second), netip.MustParseAddr("8.8.8.8"), devIP, 53, 50000, netparse.ProtoUDP, 120)
+	dns.Payload = answer
+	a.Add(dns)
+	if got := burst(base.Add(6*time.Second), nil); got != "mqtt.tplinkcloud.com" {
+		t.Fatalf("burst after the DNS answer = %q, want the DNS name", got)
+	}
+	var random [32]byte
+	hello := netparse.EncodeClientHello("cdn.example.net", random)
+	if got := burst(base.Add(12*time.Second), hello); got != "mqtt.tplinkcloud.com" {
+		t.Fatalf("burst carrying a later SNI = %q, want the DNS name kept", got)
+	}
+	if got := burst(base.Add(18*time.Second), nil); got != "mqtt.tplinkcloud.com" {
+		t.Fatalf("burst after the SNI = %q, want the DNS name kept", got)
+	}
+}
+
 func TestReverseDNSFallback(t *testing.T) {
 	a := NewAssembler(testConfig())
 	a.Resolver().AddReverse(cloudIP, "ec2-52-94-233-129.compute-1.amazonaws.com")

@@ -262,46 +262,6 @@ func TestPruneNeverOrphansRetainedDelta(t *testing.T) {
 	}
 }
 
-// TestCompactDropsBrokenAndKeepsChains: Compact fully verifies, so a
-// corrupt generation neither survives nor occupies quota, and kept
-// deltas pin their base full.
-func TestCompactDropsBrokenAndKeepsChains(t *testing.T) {
-	s := mustOpenDelta(t, t.TempDir(), 3, 2)
-	for i := 0; i < 7; i++ {
-		if _, err := s.Write("fp", map[string][]byte{FilePipeline: bytes.Repeat([]byte{byte('a' + i)}, 1024)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Surviving after per-write pruning: 4 (full), 5, 6 (deltas), 7 (full).
-	if gens, _ := s.generations(); len(gens) != 4 || gens[0] != 4 {
-		t.Fatalf("precondition: generations = %v, want [4 5 6 7]", gens)
-	}
-	// Corrupt gen 6; Compact must drop it, keep 7 and 5, and keep 4
-	// because 5 chains to it.
-	if err := os.Truncate(filepath.Join(s.genPath(6), FilePipeline+deltaSuffix), 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	gens, err := s.generations()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{4, 5, 7}
-	if len(gens) != len(want) {
-		t.Fatalf("after Compact generations = %v, want %v", gens, want)
-	}
-	for i, g := range want {
-		if gens[i] != g {
-			t.Fatalf("after Compact generations = %v, want %v", gens, want)
-		}
-	}
-	if intact, _ := s.Verify(); len(intact) != 3 {
-		t.Fatalf("Verify after Compact = %v, want [4 5 7]", intact)
-	}
-}
-
 // TestDeltaChainSurvivesReopen: a restarted daemon (fresh Store, empty
 // parent cache) must continue the delta chain from disk, not fall back
 // to fulls.

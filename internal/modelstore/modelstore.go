@@ -118,7 +118,6 @@ type manifest struct {
 	Kind          string      `json:"kind,omitempty"`   // "" (full) or "delta"
 	Parent        int         `json:"parent,omitempty"` // chain parent generation, delta only
 	Files         []fileEntry `json:"files"`
-	CreatedUnix   int64       `json:"created_unix,omitempty"`
 }
 
 // Options tunes a store.
@@ -134,10 +133,6 @@ type Options struct {
 	// full generation every time — the pre-delta behavior, bit for
 	// bit.
 	FullEvery int
-	// Now, if set, stamps manifests with a creation time (unix
-	// seconds). Left nil the stamp is omitted, keeping snapshot
-	// directories byte-deterministic for tests.
-	Now func() int64
 	// FS, if set, routes every filesystem operation through it (a
 	// faultfs.Injector in fault soaks). Nil means the real filesystem.
 	FS faultfs.FS
@@ -155,7 +150,6 @@ type Store struct {
 	dir       string
 	retain    int
 	fullEvery int
-	now       func() int64
 	fs        faultfs.FS
 
 	// Materialized content of the newest generation, kept so a delta
@@ -224,7 +218,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		dir:       dir,
 		retain:    opts.Retain,
 		fullEvery: opts.FullEvery,
-		now:       opts.Now,
 		fs:        fsys,
 	}, nil
 }
@@ -317,9 +310,6 @@ func (s *Store) Write(fingerprint string, files map[string][]byte) (int, error) 
 	if asDelta {
 		m.Kind = KindDelta
 		m.Parent = latest
-	}
-	if s.now != nil {
-		m.CreatedUnix = s.now()
 	}
 	names := make([]string, 0, len(files))
 	for name := range files {
@@ -558,13 +548,12 @@ func (s *Store) readLite(gen int) liteRec {
 }
 
 // keepSet computes which generations retention preserves: per
-// fingerprint, the newest `retain` generations satisfying `usable`
-// (nil means every generation with a readable manifest), plus the full
-// chain closure of every kept delta — a full snapshot is never pruned
+// fingerprint, the newest `retain` generations, plus the full chain
+// closure of every kept delta — a full snapshot is never pruned
 // while a retained delta still chains to it. Generations with
 // unreadable manifests form their own group, so torn garbage ages out
 // at the same rate without occupying a real fingerprint's quota.
-func keepSet(recs []liteRec, retain int, usable func(gen int) bool) map[int]bool {
+func keepSet(recs []liteRec, retain int) map[int]bool {
 	byGen := make(map[int]liteRec, len(recs))
 	groups := make(map[string][]liteRec)
 	for _, r := range recs {
@@ -583,13 +572,7 @@ func keepSet(recs []liteRec, retain int, usable func(gen int) bool) map[int]bool
 	sort.Strings(keys)
 	for _, k := range keys {
 		g := groups[k]
-		kept := 0
-		for i := len(g) - 1; i >= 0 && kept < retain; i-- {
-			r := g[i]
-			if usable != nil && !usable(r.gen) {
-				continue
-			}
-			kept++
+		for _, r := range g[max(0, len(g)-retain):] {
 			keep[r.gen] = true
 			// Chain closure: a kept delta pins every ancestor down to
 			// its base full. Parent pointers strictly decrease, so
@@ -613,8 +596,9 @@ func keepSet(recs []liteRec, retain int, usable func(gen int) bool) map[int]bool
 // candidates; retention is per fingerprint and chain-safe (see
 // keepSet), using manifest-level metadata only — the just-written
 // generation is known intact, and re-verifying every older one on each
-// checkpoint would defeat the point of cheap deltas. Compact is the
-// thorough, fully-verifying variant. Prune errors are deliberately
+// checkpoint would defeat the point of cheap deltas. A corrupt older
+// generation therefore still counts toward its fingerprint's quota
+// until newer writes age it out. Prune errors are deliberately
 // swallowed: a failed cleanup must not fail a checkpoint.
 func (s *Store) prune(newest int) {
 	entries, err := s.fs.ReadDir(s.dir)
@@ -638,60 +622,12 @@ func (s *Store) prune(newest int) {
 		recs = append(recs, s.readLite(n))
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].gen < recs[j].gen })
-	keep := keepSet(recs, s.retain, nil)
+	keep := keepSet(recs, s.retain)
 	for _, r := range recs {
 		if !keep[r.gen] {
 			s.fs.RemoveAll(s.genPath(r.gen)) //lint:ignore errcheck pruning is best-effort; a leftover dir is retried on the next write
 		}
 	}
-}
-
-// Compact is the thorough retention pass: it fully verifies every
-// generation (chains materialized, every CRC checked), keeps per
-// fingerprint the newest Retain intact generations plus the chain
-// closure they depend on, and removes everything else — old
-// generations, broken chain suffixes, torn staging directories. Unlike
-// the per-Write prune it never counts a corrupt generation toward a
-// fingerprint's quota, so it is also the recovery tool that reclaims
-// space after corruption. Removal errors are swallowed (a leftover
-// directory is retried next time); the returned error reports only a
-// failure to list or verify the store.
-func (s *Store) Compact() error {
-	entries, err := s.fs.ReadDir(s.dir)
-	if err != nil {
-		return fmt.Errorf("modelstore: %w", err)
-	}
-	var recs []liteRec
-	for _, e := range entries {
-		name := e.Name()
-		if strings.HasPrefix(name, tmpPrefix) {
-			s.fs.RemoveAll(filepath.Join(s.dir, name)) //lint:ignore errcheck compaction is best-effort; a leftover dir is retried on the next pass
-			continue
-		}
-		if !e.IsDir() || !strings.HasPrefix(name, genPrefix) {
-			continue
-		}
-		n, err := strconv.Atoi(strings.TrimPrefix(name, genPrefix))
-		if err != nil || n <= 0 {
-			continue
-		}
-		recs = append(recs, s.readLite(n))
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].gen < recs[j].gen })
-
-	intact := make(map[int]bool, len(recs))
-	for _, r := range recs {
-		if _, _, err := s.loadChain(r.gen); err == nil {
-			intact[r.gen] = true
-		}
-	}
-	keep := keepSet(recs, s.retain, func(gen int) bool { return intact[gen] })
-	for _, r := range recs {
-		if !keep[r.gen] {
-			s.fs.RemoveAll(s.genPath(r.gen)) //lint:ignore errcheck compaction is best-effort; a leftover dir is retried on the next pass
-		}
-	}
-	return nil
 }
 
 // Verify walks every generation and returns the numbers of those that

@@ -2,6 +2,8 @@ package modelstore
 
 import (
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -56,6 +58,34 @@ func TestWriteLoadRoundTrip(t *testing.T) {
 		if got := string(snap.Files[name]); got != string(want) {
 			t.Errorf("%s = %q, want %q", name, got, want)
 		}
+	}
+
+	// Older stores stamped manifests with created_unix; they still load.
+	old := t.TempDir()
+	genDir := filepath.Join(old, "gen-000001")
+	data := []byte("pipeline-old")
+	if err := os.MkdirAll(genDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(genDir, FilePipeline), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	legacy := fmt.Sprintf(`{
+  "format_version": 1,
+  "fingerprint": "fp1",
+  "files": [{"name": %q, "size": %d, "crc32c": %d}],
+  "created_unix": 1633046400
+}
+`, FilePipeline, len(data), crc32.Checksum(data, castagnoli))
+	if err := os.WriteFile(filepath.Join(genDir, manifestName), []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snap, err = mustOpen(t, old).Load("fp1")
+	if err != nil {
+		t.Fatalf("Load of a manifest with created_unix: %v", err)
+	}
+	if got := string(snap.Files[FilePipeline]); snap.Generation != 1 || got != string(data) {
+		t.Fatalf("legacy generation loaded as gen %d with %q", snap.Generation, got)
 	}
 }
 
