@@ -114,24 +114,20 @@ experiments-train:
 experiments-expectations:
 	$(GO) run ./cmd/experiments -run all -quick > internal/experiments/testdata/quick_expected.txt
 
-## fuzz-smoke: run every native fuzz target briefly (go test -fuzz
-## accepts one target per invocation, hence the loop); longer local
-## runs: go test -fuzz=FuzzDecode -fuzztime=60s ./internal/netparse/
+## fuzz-smoke: run every native fuzz target briefly. The targets are
+## found, not listed: every `func Fuzz...` declared in a _test.go file,
+## one invocation each (go test -fuzz accepts one target per run), so a
+## new fuzzer runs in CI without a Makefile edit. Longer local runs:
+## go test -fuzz=FuzzDecode -fuzztime=60s ./internal/netparse/
 FUZZTIME ?= 20s
 fuzz-smoke:
 	@set -e; \
-	for t in FuzzDecode FuzzDecodeDNS FuzzExtractSNI; do \
-		echo "fuzzing $$t ($(FUZZTIME))"; \
-		$(GO) test -run '^$$' -fuzz="^$$t$$" -fuzztime=$(FUZZTIME) ./internal/netparse/; \
-	done; \
-	echo "fuzzing FuzzPcapReader ($(FUZZTIME))"; \
-	$(GO) test -run '^$$' -fuzz='^FuzzPcapReader$$' -fuzztime=$(FUZZTIME) ./internal/pcapio/; \
-	echo "fuzzing FuzzScalarsMatchEncodingJSON ($(FUZZTIME))"; \
-	$(GO) test -run '^$$' -fuzz='^FuzzScalarsMatchEncodingJSON$$' -fuzztime=$(FUZZTIME) ./internal/jsonenc/; \
-	echo "fuzzing FuzzEventLogLineMatchesEncodingJSON ($(FUZZTIME))"; \
-	$(GO) test -run '^$$' -fuzz='^FuzzEventLogLineMatchesEncodingJSON$$' -fuzztime=$(FUZZTIME) ./internal/fleet/; \
-	echo "fuzzing FuzzFrameWalk ($(FUZZTIME))"; \
-	$(GO) test -run '^$$' -fuzz='^FuzzFrameWalk$$' -fuzztime=$(FUZZTIME) ./internal/fleet/listener/
+	for f in $$(grep -rl --include='*_test.go' '^func Fuzz' . | sort); do \
+		for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+			echo "fuzzing $$t ($(FUZZTIME))"; \
+			$(GO) test -run '^$$' -fuzz="^$$t$$" -fuzztime=$(FUZZTIME) $$(dirname $$f); \
+		done; \
+	done
 
 ## fleet-soak: the multi-tenant soak gate, all under -race. Two halves:
 ## the in-process oracles (100 tenants replaying concurrently must

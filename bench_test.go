@@ -19,7 +19,6 @@ import (
 	"behaviot/internal/core"
 	"behaviot/internal/datasets"
 	"behaviot/internal/experiments"
-	"behaviot/internal/flows"
 	"behaviot/internal/pfsm"
 	"behaviot/internal/testbed"
 )
@@ -284,23 +283,6 @@ func BenchmarkRetrainPeriodicModels(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pipe.UpdatePeriodicModels(recent, cfg)
-	}
-}
-
-// BenchmarkDiscoverActivities measures unsupervised activity discovery
-// (§7.3 fallback when ground truth is unavailable).
-func BenchmarkDiscoverActivities(b *testing.B) {
-	l := lab(b)
-	pipe := l.Pipeline()
-	var mixed []*flows.Flow
-	mixed = append(mixed, l.IdleTest()...)
-	for _, s := range l.Samples() {
-		mixed = append(mixed, s.Flows...)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pipe.Periodic.Reset()
-		core.DiscoverActivities(pipe.Periodic, mixed, core.DiscoverConfig{})
 	}
 }
 

@@ -50,7 +50,7 @@ func crashSoakDir(t *testing.T) string {
 	}
 	t.Cleanup(func() {
 		if !t.Failed() {
-			os.RemoveAll(dir) //lint:ignore errcheck best-effort cleanup of a passing run's artifacts
+			os.RemoveAll(dir)
 		}
 	})
 	return dir
@@ -336,7 +336,7 @@ func TestCrashSoakFleetSigkill(t *testing.T) {
 			if err := proc.cmd.Process.Kill(); err != nil {
 				t.Fatal(err)
 			}
-			proc.cmd.Wait() //lint:ignore errcheck reaping a SIGKILLed child; the non-zero exit is the point
+			proc.cmd.Wait() // reaping a SIGKILLed child; the non-zero exit is the point
 			swg.Wait()
 			continue
 		}

@@ -47,7 +47,7 @@ func newTestHome(t *testing.T, storeRoot string, resume bool) (*fleet.Daemon, *f
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { d.Close() }) //lint:ignore errcheck fleet.Close always returns nil
+	t.Cleanup(func() { d.Close() })
 	home, err := d.Add(homeID, "in-process")
 	if err != nil {
 		t.Fatal(err)

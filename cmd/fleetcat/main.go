@@ -116,7 +116,7 @@ func streamOnce(network, addr, tenant, token, pcapPath string, tolerant bool) (i
 	if err != nil {
 		return 1, err
 	}
-	defer f.Close() //lint:ignore errcheck read-only file; nothing to report at exit
+	defer f.Close()
 
 	r, err := pcapio.NewReader(f)
 	if err != nil {

@@ -90,10 +90,10 @@ func serveFleet(t *testing.T, fx *fcFixture) (*fleet.Daemon, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go srv.Serve(l) //lint:ignore errcheck server exits with ErrServerClosed at cleanup
+	go srv.Serve(l) // server exits with ErrServerClosed at cleanup
 	t.Cleanup(func() {
-		srv.Close() //lint:ignore errcheck best-effort test teardown
-		d.Close()   //lint:ignore errcheck best-effort test teardown
+		srv.Close()
+		d.Close()
 	})
 	return d, l.Addr().String()
 }
@@ -163,8 +163,8 @@ func TestFleetcatRetriesTransientDialThenSucceeds(t *testing.T) {
 	}
 	srv := listener.New(d)
 	t.Cleanup(func() {
-		srv.Close() //lint:ignore errcheck best-effort test teardown
-		d.Close()   //lint:ignore errcheck best-effort test teardown
+		srv.Close()
+		d.Close()
 	})
 	go func() {
 		time.Sleep(300 * time.Millisecond)
@@ -172,7 +172,7 @@ func TestFleetcatRetriesTransientDialThenSucceeds(t *testing.T) {
 		if err != nil {
 			return // port raced away; the test fails on exit code below
 		}
-		srv.Serve(l) //lint:ignore errcheck server exits with ErrServerClosed at cleanup
+		srv.Serve(l) // server exits with ErrServerClosed at cleanup
 	}()
 
 	code := runFleetcat(t, "-net", "tcp", "-addr", addr,

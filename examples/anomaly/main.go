@@ -94,7 +94,13 @@ func main() {
 		for _, d := range devs {
 			byKind[d.Kind.String()] = append(byKind[d.Kind.String()], d)
 		}
-		for kind, list := range byKind {
+		// Sections print in metric order, not map order, so the output is
+		// the same on every run.
+		for _, kind := range []string{behaviot.DevPeriodic.String(), behaviot.DevShortTerm.String(), behaviot.DevLongTerm.String()} {
+			list := byKind[kind]
+			if len(list) == 0 {
+				continue
+			}
 			fmt.Printf("  %s: %d\n", kind, len(list))
 			for i, d := range list {
 				if i >= 3 {

@@ -237,18 +237,6 @@ func (p *Profile) JSON() ([]byte, error) {
 	return json.MarshalIndent(p, "", "  ")
 }
 
-// Parse decodes a MUD profile document.
-func Parse(data []byte) (*Profile, error) {
-	var p Profile
-	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("mud: %w", err)
-	}
-	if p.MUD.MUDVersion == 0 {
-		return nil, fmt.Errorf("mud: missing ietf-mud:mud container")
-	}
-	return &p, nil
-}
-
 // Verdict is a compliance-check outcome for one flow.
 type Verdict struct {
 	Flow      *flows.Flow

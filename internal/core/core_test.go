@@ -112,7 +112,10 @@ func TestIdleCoverageHigh(t *testing.T) {
 	fx := getFixture(t)
 	fx.pipe.Periodic.Reset()
 	events := fx.pipe.Classify(fx.testIdle)
-	counts := ClassCounts(events)
+	counts := map[EventClass]int{}
+	for _, e := range events {
+		counts[e.Class]++
+	}
 	total := len(events)
 	periodicFrac := float64(counts[EventPeriodic]) / float64(total)
 	if periodicFrac < 0.95 {
@@ -191,7 +194,7 @@ func TestEventTracesRespectGap(t *testing.T) {
 	fx := getFixture(t)
 	base := time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
 	mkEvent := func(label string, at time.Time) Event {
-		return Event{Class: EventUser, Label: label, Time: at, Device: labelDevice(label)}
+		return Event{Class: EventUser, Label: label, Time: at, Device: deviceOfLabel(label)}
 	}
 	events := []Event{
 		mkEvent("a:x", base),
@@ -410,14 +413,11 @@ func TestDeviationKindString(t *testing.T) {
 }
 
 func TestUserEventLabel(t *testing.T) {
-	if UserEventLabel("TPLink Plug", "on") != "TPLink Plug:on" {
-		t.Error("label format wrong")
+	if deviceOfLabel("TPLink Plug:on") != "TPLink Plug" {
+		t.Error("deviceOfLabel wrong")
 	}
-	if labelDevice("TPLink Plug:on") != "TPLink Plug" {
-		t.Error("labelDevice wrong")
-	}
-	if labelDevice("nolabel") != "nolabel" {
-		t.Error("labelDevice without colon wrong")
+	if deviceOfLabel("nolabel") != "nolabel" {
+		t.Error("deviceOfLabel without colon wrong")
 	}
 }
 
@@ -447,22 +447,6 @@ func TestDestinationAnalysis(t *testing.T) {
 		t.Errorf("party breakdown degenerate: %+v", total)
 	}
 	t.Logf("periodic destinations: %+v", total)
-}
-
-func TestEssentialAnalysis(t *testing.T) {
-	fx := getFixture(t)
-	fx.pipe.Periodic.Reset()
-	events := fx.pipe.Classify(fx.testIdle)
-	info := map[string]DeviceInfo{}
-	for _, d := range fx.tb.Devices {
-		info[d.Name] = DeviceInfo{Vendor: d.Vendor, Category: string(d.Category)}
-	}
-	res := EssentialAnalysis(events, info)
-	per := res[EventPeriodic]
-	if per.Essential+per.NonEssential == 0 {
-		t.Fatal("no destinations analyzed")
-	}
-	t.Logf("periodic: essential=%d non-essential=%d", per.Essential, per.NonEssential)
 }
 
 func TestDistinctDestinations(t *testing.T) {

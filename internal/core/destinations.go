@@ -66,41 +66,6 @@ func DestinationAnalysis(events []Event, info map[string]DeviceInfo) map[EventCl
 	return out
 }
 
-// EssentialAnalysis reproduces the §6.1 non-essential destination study:
-// for each event class, how many distinct destinations are essential vs
-// non-essential per the IoTrim-style list.
-func EssentialAnalysis(events []Event, info map[string]DeviceInfo) map[EventClass]struct{ Essential, NonEssential int } {
-	type destKey struct {
-		class  EventClass
-		device string
-		domain string
-	}
-	seen := map[destKey]bool{}
-	counts := map[EventClass]struct{ Essential, NonEssential int }{}
-	for _, e := range events {
-		if e.Flow == nil || e.Flow.Domain == "" {
-			continue
-		}
-		k := destKey{class: e.Class, device: e.Device, domain: e.Flow.Domain}
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		di, ok := info[e.Device]
-		if !ok {
-			continue
-		}
-		c := counts[e.Class]
-		if destinations.Essential(di.Vendor, e.Flow.Domain) {
-			c.Essential++
-		} else {
-			c.NonEssential++
-		}
-		counts[e.Class] = c
-	}
-	return counts
-}
-
 // DistinctDestinations returns the sorted distinct destination domains of
 // a class of events.
 func DistinctDestinations(events []Event, class EventClass) []string {

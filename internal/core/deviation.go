@@ -286,7 +286,7 @@ func (p *Pipeline) LongTermDeviations(traces []pfsm.Trace, at time.Time) []Devia
 		if z > p.Baseline.LongTermZ {
 			out = append(out, Deviation{
 				Kind: DevLongTerm, Time: at, Score: z,
-				Device: labelDevice(e.from) + "→" + labelDevice(e.to),
+				Device: deviceOfLabel(e.from) + "→" + deviceOfLabel(e.to),
 				Detail: e.from + " → " + e.to,
 			})
 		}
@@ -298,16 +298,7 @@ func traceDevice(tr pfsm.Trace) string {
 	if len(tr) == 0 {
 		return ""
 	}
-	return labelDevice(tr[0])
-}
-
-func labelDevice(label string) string {
-	for i := 0; i < len(label); i++ {
-		if label[i] == ':' {
-			return label[:i]
-		}
-	}
-	return label
+	return deviceOfLabel(tr[0])
 }
 
 func traceString(tr pfsm.Trace) string {

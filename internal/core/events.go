@@ -7,7 +7,6 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"behaviot/internal/flows"
@@ -52,9 +51,4 @@ type Event struct {
 	// Confidence is the classifier confidence for user events (0 for
 	// other classes).
 	Confidence float64
-}
-
-// UserEventLabel builds the canonical "device:activity" label.
-func UserEventLabel(device, activity string) string {
-	return fmt.Sprintf("%s:%s", device, activity)
 }

@@ -253,10 +253,3 @@ func (pc *PeriodicClassifier) Anchors() map[flows.GroupKey]time.Time { return pc
 // SetAnchors replaces the timer anchors, e.g. with ones restored from a
 // snapshot. The classifier takes ownership of last, which must not be nil.
 func (pc *PeriodicClassifier) SetAnchors(last map[flows.GroupKey]time.Time) { pc.last = last }
-
-// LastSeen returns the most recent periodic event time for a group and
-// whether one was observed.
-func (pc *PeriodicClassifier) LastSeen(key flows.GroupKey) (time.Time, bool) {
-	t, ok := pc.last[key]
-	return t, ok
-}

@@ -84,11 +84,11 @@ func TestPeriodicClassifierTimerPath(t *testing.T) {
 	if hits != 10 {
 		t.Errorf("timer hits = %d/10", hits)
 	}
-	if _, ok := pc.LastSeen(test[0].Key()); !ok {
-		t.Error("LastSeen not tracked")
+	if _, ok := pc.Anchors()[test[0].Key()]; !ok {
+		t.Error("timer anchor not tracked")
 	}
 	pc.Reset()
-	if _, ok := pc.LastSeen(test[0].Key()); ok {
+	if _, ok := pc.Anchors()[test[0].Key()]; ok {
 		t.Error("Reset did not clear anchors")
 	}
 }

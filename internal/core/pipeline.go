@@ -158,12 +158,3 @@ func (p *Pipeline) TrainSystem(events []Event, opts pfsm.Options) []pfsm.Trace {
 	p.System = pfsm.Infer(traces, opts)
 	return traces
 }
-
-// ClassCounts tallies events by class.
-func ClassCounts(events []Event) map[EventClass]int {
-	out := map[EventClass]int{}
-	for _, e := range events {
-		out[e.Class]++
-	}
-	return out
-}

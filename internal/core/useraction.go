@@ -24,7 +24,9 @@ type UserActionModels struct {
 	// byDevice maps a device name to its activity ensemble.
 	byDevice map[string]*deviceModels
 	norm     *features.Normalizer
-	labels   []string
+	// labels lists every trained "device:activity" label; only the
+	// snapshot format carries it.
+	labels []string
 }
 
 // deviceModels holds one device's classifiers.
@@ -256,31 +258,6 @@ func deviceOfLabel(label string) string {
 		return label[:i]
 	}
 	return label
-}
-
-// Labels returns the activity labels the models can predict.
-func (m *UserActionModels) Labels() []string { return m.labels }
-
-// NumModels returns the number of trained activity classifiers across all
-// devices (the paper reports 57 user-action models).
-func (m *UserActionModels) NumModels() int {
-	n := 0
-	for _, dm := range m.byDevice {
-		if dm.ensemble != nil {
-			for _, l := range dm.ensemble.Labels() {
-				if l != backgroundLabel {
-					n++
-				}
-			}
-		} else {
-			for _, l := range dm.multiLabels {
-				if l != backgroundLabel {
-					n++
-				}
-			}
-		}
-	}
-	return n
 }
 
 // Classify returns the activity label for a flow, with ok=false when the

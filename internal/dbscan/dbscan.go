@@ -132,9 +132,6 @@ func Train(points [][]float64, cfg Config) *Model {
 	return m
 }
 
-// NumClusters returns the number of clusters in the trained model.
-func (m *Model) NumClusters() int { return m.num }
-
 // Assign returns the cluster id for a new point, or Noise when the point is
 // not within Eps of any core point. This implements the paper's labeling of
 // future flows against clusters trained on idle traffic.
@@ -150,6 +147,3 @@ func (m *Model) Assign(p []float64) int {
 	}
 	return best
 }
-
-// CorePointCount returns the number of core points retained by the model.
-func (m *Model) CorePointCount() int { return len(m.points) }

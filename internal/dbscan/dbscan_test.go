@@ -96,8 +96,8 @@ func TestTrainAssign(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	pts := append(blob(rng, 0, 0, 0.1, 40), blob(rng, 5, 5, 0.1, 40)...)
 	m := Train(pts, Config{Eps: 0.8, MinPts: 4})
-	if m.NumClusters() != 2 {
-		t.Fatalf("NumClusters = %d, want 2", m.NumClusters())
+	if m.num != 2 {
+		t.Fatalf("clusters = %d, want 2", m.num)
 	}
 	// New points near each blob get that blob's label; distant points get Noise.
 	a := m.Assign([]float64{0.05, -0.05})
@@ -108,7 +108,7 @@ func TestTrainAssign(t *testing.T) {
 	if got := m.Assign([]float64{50, 50}); got != Noise {
 		t.Errorf("distant point assigned to %d, want Noise", got)
 	}
-	if m.CorePointCount() == 0 {
+	if len(m.points) == 0 {
 		t.Error("model retained no core points")
 	}
 }
@@ -120,8 +120,8 @@ func TestAssignPicksNearestCluster(t *testing.T) {
 		{2, 0}, {2.1, 0}, {2.2, 0}, // cluster B
 	}
 	m := Train(pts, Config{Eps: 0.3, MinPts: 2})
-	if m.NumClusters() != 2 {
-		t.Fatalf("NumClusters = %d, want 2", m.NumClusters())
+	if m.num != 2 {
+		t.Fatalf("clusters = %d, want 2", m.num)
 	}
 	la := m.Assign([]float64{0.15, 0})
 	lb := m.Assign([]float64{2.15, 0})

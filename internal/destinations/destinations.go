@@ -2,9 +2,7 @@
 // reproducing the paper's event-destination analysis (§6.1): a destination
 // is first party when its organization is the device's manufacturer or an
 // affiliate, support party when it is a cloud/CDN provider, and third
-// party otherwise. It also carries the IoTrim-style essential /
-// non-essential destination lists used for the §6.1 non-essential
-// destination analysis.
+// party otherwise.
 //
 // The paper derives organizations from WHOIS records; offline, the
 // equivalent knowledge is an embedded organization table over the
@@ -150,36 +148,4 @@ func Classify(vendor, domain string) Party {
 		}
 	}
 	return Third
-}
-
-// Essential reports whether a destination is on the essential list: the
-// set of destinations that cannot be blocked without breaking device
-// functionality (IoTrim-style [49]). In the simulated universe, vendor
-// cloud endpoints and AWS IoT endpoints are essential; analytics,
-// advertising and generic CDN endpoints are not. NTP and DNS infrastructure
-// is essential.
-func Essential(vendor, domain string) bool {
-	switch Classify(vendor, domain) {
-	case First:
-		// Vendor advertising/metrics endpoints are the first-party
-		// exceptions: functional endpoints are essential, telemetry is not.
-		lower := strings.ToLower(domain)
-		for _, marker := range []string{"metrics", "mas-sdk", "diagnostics", "log.", "dls.di."} {
-			if strings.Contains(lower, marker) {
-				return false
-			}
-		}
-		return true
-	case Support:
-		lower := strings.ToLower(domain)
-		// Device control via AWS IoT / cognito is essential; CDNs are not.
-		for _, marker := range []string{"iot.", "cognito", "pool.ntp", "ntp.org", "nist.gov", "neu.edu", "azure-devices", "emqx", "eclipse"} {
-			if strings.Contains(lower, marker) {
-				return true
-			}
-		}
-		return false
-	default:
-		return false
-	}
 }

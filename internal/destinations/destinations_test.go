@@ -75,35 +75,6 @@ func TestClassifyThirdParty(t *testing.T) {
 	}
 }
 
-func TestEssential(t *testing.T) {
-	cases := []struct {
-		vendor, domain string
-		want           bool
-	}{
-		// Vendor functional endpoints: essential.
-		{"TP-Link", "devs.tplinkcloud.com", true},
-		{"Ring", "api.ring.com", true},
-		// Vendor telemetry: not essential.
-		{"Amazon", "device-metrics-us.amazon.com", false},
-		{"Amazon", "mas-sdk.amazon.com", false},
-		{"Philips", "diagnostics.meethue.com", false},
-		{"Samsung", "dls.di.atlas.samsung.com", false},
-		// AWS IoT control plane: essential.
-		{"Tuya", "a1x3c4.iot.us-east-1.amazonaws.com", true},
-		// CDN: not essential.
-		{"Amazon", "d1f0a.cloudfront.net", false},
-		// NTP infrastructure: essential.
-		{"Tuya", "0.pool.ntp.org", true},
-		// Third-party analytics: never essential.
-		{"TP-Link", "metrics.tplink-analytics.com", false},
-	}
-	for _, c := range cases {
-		if got := Essential(c.vendor, c.domain); got != c.want {
-			t.Errorf("Essential(%q, %q) = %v, want %v", c.vendor, c.domain, got, c.want)
-		}
-	}
-}
-
 func TestPartyString(t *testing.T) {
 	if First.String() != "First" || Support.String() != "Support" || Third.String() != "Third" {
 		t.Error("party names wrong")

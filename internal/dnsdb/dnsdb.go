@@ -9,7 +9,6 @@ package dnsdb
 
 import (
 	"net/netip"
-	"sort"
 	"sync"
 )
 
@@ -108,24 +107,4 @@ func (d *DB) Len() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return len(d.entries)
-}
-
-// Domains returns the sorted set of all domains known to the database,
-// including fallback entries.
-func (d *DB) Domains() []string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	set := make(map[string]bool)
-	for _, e := range d.entries {
-		set[e.domain] = true
-	}
-	for _, name := range d.reverse {
-		set[name] = true
-	}
-	out := make([]string, 0, len(set))
-	for name := range set {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

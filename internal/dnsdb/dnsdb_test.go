@@ -81,14 +81,10 @@ func TestDomains(t *testing.T) {
 	db.AddDNS(ip1, "b.example.com")
 	db.AddSNI(ip2, "a.example.com")
 	db.AddReverse(ip3, "c.example.com")
-	got := db.Domains()
-	want := []string{"a.example.com", "b.example.com", "c.example.com"}
-	if len(got) != len(want) {
-		t.Fatalf("Domains = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Domains[%d] = %q, want %q (sorted)", i, got[i], want[i])
+	// Every source's name is what the flow annotator's Lookup sees.
+	for ip, want := range map[netip.Addr]string{ip1: "b.example.com", ip2: "a.example.com", ip3: "c.example.com"} {
+		if got := db.Lookup(ip); got != want {
+			t.Errorf("Lookup(%v) = %q, want %q", ip, got, want)
 		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"net/netip"
 	"sync"
 	"testing"
+
+	"behaviot/internal/snapio"
 )
 
 // TestConcurrentReadersWriters hammers one DB from parallel writers on
@@ -54,7 +56,8 @@ func TestConcurrentReadersWriters(t *testing.T) {
 					t.Error("negative length")
 				}
 				if i%100 == 0 {
-					db.Domains() // full-table scan while writers run
+					// full-table scan while writers run, as a checkpoint does
+					db.EncodeSnapshot(new(snapio.Writer))
 				}
 			}
 		}(r)

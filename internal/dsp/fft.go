@@ -8,8 +8,6 @@ package dsp
 import (
 	"math"
 	"math/cmplx"
-
-	"behaviot/internal/floatcmp"
 )
 
 // FFT computes the discrete Fourier transform of x. The input length need
@@ -26,28 +24,7 @@ func FFT(x []complex128) []complex128 {
 		radix2(out, false)
 		return out
 	}
-	return bluestein(x, false)
-}
-
-// IFFT computes the inverse discrete Fourier transform of x, including the
-// 1/n normalization.
-func IFFT(x []complex128) []complex128 {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	var out []complex128
-	if n&(n-1) == 0 {
-		out = append([]complex128(nil), x...)
-		radix2(out, true)
-	} else {
-		out = bluestein(x, true)
-	}
-	inv := complex(1/float64(n), 0)
-	for i := range out {
-		out[i] *= inv
-	}
-	return out
+	return bluestein(x)
 }
 
 // radix2 performs an in-place iterative Cooley-Tukey FFT.
@@ -90,22 +67,18 @@ func radix2(x []complex128, inverse bool) {
 }
 
 // bluestein computes an arbitrary-length DFT via the chirp-z transform.
-func bluestein(x []complex128, inverse bool) []complex128 {
+func bluestein(x []complex128) []complex128 {
 	n := len(x)
 	m := 1
 	for m < 2*n-1 {
 		m <<= 1
 	}
-	dir := -1.0
-	if inverse {
-		dir = 1.0
-	}
-	// Chirp factors w[k] = exp(dir * i * pi * k^2 / n).
+	// Chirp factors w[k] = exp(-i * pi * k^2 / n).
 	w := make([]complex128, n)
 	for k := 0; k < n; k++ {
 		// k^2 mod 2n avoids precision loss for large k.
 		k2 := (int64(k) * int64(k)) % int64(2*n)
-		w[k] = cmplx.Exp(complex(0, dir*math.Pi*float64(k2)/float64(n)))
+		w[k] = cmplx.Exp(complex(0, -math.Pi*float64(k2)/float64(n)))
 	}
 	a := make([]complex128, m)
 	b := make([]complex128, m)
@@ -153,55 +126,6 @@ func PowerSpectrum(x []float64) []float64 {
 	for k := 0; k < half; k++ {
 		m := cmplx.Abs(spec[k])
 		out[k] = m * m / float64(n)
-	}
-	return out
-}
-
-// Autocorrelation computes the (biased) autocorrelation function of x for
-// lags 0..maxLag, normalized so that lag 0 equals 1. The signal is mean-
-// centered first. Constant signals return all zeros (no structure).
-func Autocorrelation(x []float64, maxLag int) []float64 {
-	n := len(x)
-	if n == 0 || maxLag < 0 {
-		return nil
-	}
-	if maxLag >= n {
-		maxLag = n - 1
-	}
-	var mean float64
-	for _, v := range x {
-		mean += v
-	}
-	mean /= float64(n)
-	centered := make([]float64, n)
-	var denom float64
-	for i, v := range x {
-		centered[i] = v - mean
-		denom += centered[i] * centered[i]
-	}
-	out := make([]float64, maxLag+1)
-	if floatcmp.IsZero(denom) {
-		return out
-	}
-	// Use the FFT to compute all lags in O(n log n): autocorrelation is the
-	// inverse transform of the power spectrum of the zero-padded signal.
-	m := 1
-	for m < 2*n {
-		m <<= 1
-	}
-	buf := make([]complex128, m)
-	for i, v := range centered {
-		buf[i] = complex(v, 0)
-	}
-	radix2(buf, false)
-	for i := range buf {
-		re, im := real(buf[i]), imag(buf[i])
-		buf[i] = complex(re*re+im*im, 0)
-	}
-	radix2(buf, true)
-	scale := 1 / float64(m)
-	for lag := 0; lag <= maxLag; lag++ {
-		out[lag] = real(buf[lag]) * scale / denom
 	}
 	return out
 }

@@ -74,19 +74,23 @@ func TestFFTDoesNotMutateInput(t *testing.T) {
 }
 
 func TestIFFTRoundTrip(t *testing.T) {
+	// Bluestein's convolution runs the inverse radix-2 transform, which
+	// must undo the forward one up to the 1/n scale it leaves out.
 	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{1, 2, 5, 8, 13, 64, 100} {
+	for _, n := range []int{1, 2, 8, 64, 128} {
 		x := make([]complex128, n)
 		for i := range x {
 			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
-		back := IFFT(FFT(x))
-		if !complexClose(back, x, 1e-8*float64(n)) {
-			t.Errorf("n=%d: IFFT(FFT(x)) != x", n)
+		back := append([]complex128(nil), x...)
+		radix2(back, false)
+		radix2(back, true)
+		for i := range back {
+			back[i] /= complex(float64(n), 0)
 		}
-	}
-	if IFFT(nil) != nil {
-		t.Error("IFFT(nil) should be nil")
+		if !complexClose(back, x, 1e-8*float64(n)) {
+			t.Errorf("n=%d: inverse(forward(x))/n != x", n)
+		}
 	}
 }
 
@@ -177,50 +181,43 @@ func TestAutocorrelationPeriodicSignal(t *testing.T) {
 	for i := 0; i < n; i += 10 {
 		x[i] = 1
 	}
-	acf := Autocorrelation(x, 50)
-	if math.Abs(acf[0]-1) > 1e-9 {
-		t.Errorf("ACF[0] = %v, want 1", acf[0])
+	if r := acfAtLag(x, 10); r < 0.9 {
+		t.Errorf("ACF[10] = %v, want ~1 for period-10 signal", r)
 	}
-	if acf[10] < 0.9 {
-		t.Errorf("ACF[10] = %v, want ~1 for period-10 signal", acf[10])
-	}
-	if acf[5] > 0.3 {
-		t.Errorf("ACF[5] = %v, should be low off-period", acf[5])
+	if r := acfAtLag(x, 5); r > 0.3 {
+		t.Errorf("ACF[5] = %v, should be low off-period", r)
 	}
 }
 
 func TestAutocorrelationConstantSignal(t *testing.T) {
 	x := []float64{5, 5, 5, 5, 5}
-	acf := Autocorrelation(x, 3)
-	for i, v := range acf {
-		if v != 0 {
-			t.Errorf("ACF[%d] = %v for constant signal, want 0", i, v)
+	for lag := 1; lag < len(x); lag++ {
+		if v := acfAtLag(x, lag); v != 0 {
+			t.Errorf("ACF[%d] = %v for constant signal, want 0", lag, v)
 		}
 	}
 }
 
 func TestAutocorrelationEdgeCases(t *testing.T) {
-	if Autocorrelation(nil, 5) != nil {
-		t.Error("nil input should give nil")
+	// Lags outside [1, n) carry no signal and score 0.
+	if acfAtLag(nil, 5) != 0 {
+		t.Error("nil input should give 0")
 	}
-	if Autocorrelation([]float64{1, 2}, -1) != nil {
-		t.Error("negative maxLag should give nil")
+	if acfAtLag([]float64{1, 2, 3}, 0) != 0 || acfAtLag([]float64{1, 2, 3}, -1) != 0 {
+		t.Error("non-positive lag should give 0")
 	}
-	// maxLag >= n is clamped.
-	acf := Autocorrelation([]float64{1, 2, 3}, 10)
-	if len(acf) != 3 {
-		t.Errorf("clamped ACF length = %d, want 3", len(acf))
+	if acfAtLag([]float64{1, 2, 3}, 3) != 0 {
+		t.Error("lag >= n should give 0")
 	}
 }
 
 func TestAutocorrelationMatchesDirect(t *testing.T) {
-	// Validate the FFT-based ACF against the direct O(n^2) computation.
+	// Validate the single-lag ACF against the textbook definition.
 	rng := rand.New(rand.NewSource(5))
 	x := make([]float64, 100)
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	got := Autocorrelation(x, 20)
 	mean := 0.0
 	for _, v := range x {
 		mean += v
@@ -230,14 +227,14 @@ func TestAutocorrelationMatchesDirect(t *testing.T) {
 	for _, v := range x {
 		denom += (v - mean) * (v - mean)
 	}
-	for lag := 0; lag <= 20; lag++ {
+	for lag := 1; lag <= 20; lag++ {
 		var num float64
 		for i := 0; i+lag < len(x); i++ {
 			num += (x[i] - mean) * (x[i+lag] - mean)
 		}
 		want := num / denom
-		if math.Abs(got[lag]-want) > 1e-9 {
-			t.Errorf("lag %d: got %v want %v", lag, got[lag], want)
+		if got := acfAtLag(x, lag); math.Abs(got-want) > 1e-9 {
+			t.Errorf("lag %d: got %v want %v", lag, got, want)
 		}
 	}
 }

@@ -153,15 +153,6 @@ type Stats struct {
 	BytesWritten int64
 }
 
-// FaultsTotal sums injected faults across kinds.
-func (s Stats) FaultsTotal() int64 {
-	var n int64
-	for _, f := range s.Faults {
-		n += f
-	}
-	return n
-}
-
 // Injector wraps an inner FS and applies rules to every operation.
 // Safe for concurrent use (the fleet's shard housekeepers checkpoint
 // tenants in parallel through one injector).
@@ -302,7 +293,7 @@ func (ff *faultFile) Write(p []byte) (int, error) {
 			if keep > len(p) {
 				keep = len(p)
 			}
-			n, _ = ff.f.Write(p[:keep]) //lint:ignore errcheck the injected fault is the error being reported; the torn prefix is best-effort by design
+			n, _ = ff.f.Write(p[:keep]) // the injected fault is the error being reported; the torn prefix is best-effort by design
 			ff.in.countWritten(n)
 		}
 		return n, f.Err

@@ -35,8 +35,8 @@ func TestZeroConfigIsIdentity(t *testing.T) {
 	if err := in.Rename(path, filepath.Join(dir, "b.bin")); err != nil {
 		t.Fatalf("Rename: %v", err)
 	}
-	if tot := in.Stats().FaultsTotal(); tot != 0 {
-		t.Fatalf("zero config injected %d faults", tot)
+	if faults := in.Stats().Faults; faults != [numOpKinds]int64{} {
+		t.Fatalf("zero config injected faults %v", faults)
 	}
 }
 

@@ -7,8 +7,6 @@
 package features
 
 import (
-	"time"
-
 	"behaviot/internal/flows"
 	"behaviot/internal/stats"
 )
@@ -159,10 +157,4 @@ func (n *Normalizer) ApplyAll(vs [][]float64) [][]float64 {
 		out[i] = n.Apply(v)
 	}
 	return out
-}
-
-// DurationSeconds is a helper exposing burst duration in seconds, used by
-// callers that add duration as an auxiliary (non-Table-8) signal.
-func DurationSeconds(f *flows.Flow) float64 {
-	return f.Duration().Round(time.Microsecond).Seconds()
 }

@@ -178,16 +178,6 @@ func TestNormalizerPreservesInput(t *testing.T) {
 	}
 }
 
-func TestDurationSeconds(t *testing.T) {
-	f := mkFlow([]flows.PacketMeta{
-		{Time: base, Size: 1},
-		{Time: base.Add(2500 * time.Millisecond), Size: 1},
-	})
-	if d := DurationSeconds(f); math.Abs(d-2.5) > 1e-9 {
-		t.Errorf("duration = %v", d)
-	}
-}
-
 func BenchmarkExtract(b *testing.B) {
 	metas := make([]flows.PacketMeta, 50)
 	for i := range metas {

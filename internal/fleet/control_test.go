@@ -46,7 +46,7 @@ func doJSON(t *testing.T, method, url string, body any) (*http.Response, []byte)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close() //lint:ignore errcheck response body close error is irrelevant to the assertion
+	defer resp.Body.Close()
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +63,7 @@ func TestControlAddRemoveUnderLiveIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close() //lint:ignore errcheck fleet.Close always returns nil; deferred for cleanup only
+	defer d.Close()
 	ts := newControlServer(t, d)
 
 	steady, err := d.Add("steady", "tok-steady")
@@ -112,8 +112,8 @@ func TestControlAddRemoveUnderLiveIngest(t *testing.T) {
 					t.Errorf("GET %s: %v", ring, err)
 					return
 				}
-				io.Copy(io.Discard, resp.Body) //lint:ignore errcheck body is discarded
-				resp.Body.Close()              //lint:ignore errcheck test response teardown
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
 				if resp.StatusCode != http.StatusOK {
 					t.Errorf("GET %s = %d", ring, resp.StatusCode)
 					return
@@ -224,7 +224,7 @@ func TestControlAddErrorStatuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer single.Close() //lint:ignore errcheck fleet.Close always returns nil; deferred for cleanup only
+	defer single.Close()
 	singleTS := newControlServer(t, single)
 	for i, want := range []int{http.StatusCreated, http.StatusConflict} {
 		body := map[string]string{"id": fmt.Sprintf("only-%d", i), "token": "x"}
@@ -248,7 +248,7 @@ func TestControlStatusShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close() //lint:ignore errcheck fleet.Close always returns nil; deferred for cleanup only
+	defer d.Close()
 	ts := newControlServer(t, d)
 	tn, err := d.Add("home-1", "tok")
 	if err != nil {
@@ -310,7 +310,7 @@ func TestControlMetricsTenantLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close() //lint:ignore errcheck fleet.Close always returns nil; deferred for cleanup only
+	defer d.Close()
 	ts := newControlServer(t, d)
 	for _, id := range []string{"home-a", "home-b"} {
 		tn, err := d.Add(id, "tok")
@@ -365,7 +365,7 @@ func TestControlFeedStreamsEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close() //lint:ignore errcheck fleet.Close always returns nil; deferred for cleanup only
+	defer d.Close()
 	ts := newControlServer(t, d)
 	if _, err := d.Add("home-1", "tok"); err != nil {
 		t.Fatal(err)
@@ -381,7 +381,7 @@ func TestControlFeedStreamsEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close() //lint:ignore errcheck streaming body close error is irrelevant to the assertion
+	defer resp.Body.Close()
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
 		t.Fatalf("Content-Type = %q", ct)
 	}
@@ -416,7 +416,7 @@ func TestControlTenantEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close() //lint:ignore errcheck fleet.Close always returns nil; deferred for cleanup only
+	defer d.Close()
 	ts := newControlServer(t, d)
 	tn, err := d.Add("home-1", "tok")
 	if err != nil {

@@ -109,7 +109,7 @@ func TestNonFiniteScoreLineIsDroppedEverywhere(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close() //lint:ignore errcheck fleet.Close always returns nil; deferred for cleanup only
+	defer d.Close()
 	ts := newControlServer(t, d)
 	tn, err := d.Add("home-1", "tok")
 	if err != nil {
@@ -125,7 +125,7 @@ func TestNonFiniteScoreLineIsDroppedEverywhere(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close() //lint:ignore errcheck streaming body close error is irrelevant to the assertion
+	defer resp.Body.Close()
 
 	when := time.Unix(1628727297, 0).UTC()
 	for i, score := range []float64{1.5, math.Inf(1), 2.5} {
@@ -204,7 +204,7 @@ func TestFeedCoalescesBufferedItems(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close() //lint:ignore errcheck fleet.Close always returns nil; deferred for cleanup only
+	defer d.Close()
 
 	// Park a subscriber that never reads, so its 2-item buffer fills.
 	_, cancelSlow := d.Subscribe(2)

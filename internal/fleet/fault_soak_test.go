@@ -36,7 +36,7 @@ func soakDir(t *testing.T) string {
 	}
 	t.Cleanup(func() {
 		if !t.Failed() {
-			os.RemoveAll(dir) //lint:ignore errcheck best-effort cleanup of a passing run's artifacts
+			os.RemoveAll(dir)
 		}
 	})
 	return dir
@@ -244,7 +244,7 @@ func TestFaultSoakCrashLoopBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close() //lint:ignore errcheck fleet.Close always returns nil; deferred for cleanup only
+	defer d.Close()
 	ts := newControlServer(t, d)
 	tn, err := d.Add("loop-1", "tok")
 	if err != nil {
@@ -377,9 +377,15 @@ func TestFaultSoakCheckpointRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	intact, err := s.Verify()
+	infos, err := s.Report()
 	if err != nil {
 		t.Fatal(err)
+	}
+	var intact []int
+	for _, info := range infos {
+		if info.Intact {
+			intact = append(intact, info.Generation)
+		}
 	}
 	if len(intact) == 0 {
 		t.Fatal("CRC walk found no intact generations")
@@ -417,7 +423,7 @@ func TestCheckpointPanicReleasesShardLock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close() //lint:ignore errcheck fleet.Close always returns nil; deferred for cleanup only
+	defer d.Close()
 
 	victim, err := d.Add("home-v", "tok")
 	if err != nil {
@@ -471,7 +477,7 @@ func TestQuarantineSticky(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close() //lint:ignore errcheck fleet.Close always returns nil; deferred for cleanup only
+	defer d.Close()
 	tn, err := d.Add("home-1", "tok")
 	if err != nil {
 		t.Fatal(err)
@@ -506,7 +512,7 @@ func TestRestartFailureLeavesQuarantinedPlaceholder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close() //lint:ignore errcheck fleet.Close always returns nil; deferred for cleanup only
+	defer d.Close()
 	ts := newControlServer(t, d)
 
 	tn, err := d.Add("home-1", "tok")

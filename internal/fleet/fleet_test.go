@@ -194,7 +194,7 @@ func TestRegistryValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close() //lint:ignore errcheck fleet.Close always returns nil; deferred for cleanup only
+	defer d.Close()
 
 	if _, err := d.Add("../escape", "tok"); !errors.Is(err, ErrBadTenantID) {
 		t.Errorf("Add(../escape) = %v, want ErrBadTenantID", err)

@@ -106,7 +106,7 @@ func (s *Sender) Sent() int64 { return s.sent }
 // count; a count different from Sent means the server lost records
 // (callers like the soak harness assert equality).
 func (s *Sender) Close() (consumed int64, err error) {
-	defer s.conn.Close() //lint:ignore errcheck the protocol outcome (ack or its absence) is what gets reported
+	defer s.conn.Close()
 	if err := s.bw.Flush(); err != nil {
 		return 0, err
 	}

@@ -26,7 +26,7 @@ func (c pipeConn) Read(p []byte) (int, error)      { return c.r.Read(p) }
 func (c pipeConn) Write(p []byte) (int, error)     { return c.w.Write(p) }
 func (c pipeConn) SetReadDeadline(time.Time) error { return nil }
 func (c pipeConn) Close() error {
-	c.r.Close() //lint:ignore errcheck PipeReader.Close always returns nil
+	c.r.Close()
 	return c.w.Close()
 }
 
@@ -97,7 +97,7 @@ func FuzzFrameWalk(f *testing.F) {
 	f.Add(appendFrame(big, fx.recs[6].Time, fx.recs[6].Data), []byte{250, 3})
 
 	d := newFleet(f, fx)
-	f.Cleanup(func() { d.Close() }) //lint:ignore errcheck fleet.Close always returns nil
+	f.Cleanup(func() { d.Close() })
 	srv := New(d)
 
 	f.Fuzz(func(t *testing.T, stream, cuts []byte) {
@@ -107,7 +107,7 @@ func FuzzFrameWalk(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer d.Remove("home-1") //lint:ignore errcheck no store behind this fleet: Remove only drains
+		defer d.Remove("home-1") // no store behind this fleet: Remove only drains
 
 		client, server := newPipeConns()
 		srv.wg.Add(1)
@@ -122,7 +122,7 @@ func FuzzFrameWalk(f *testing.F) {
 		// The server stops reading at a bad length; a write it never
 		// reads fails when it closes its end, which is fine.
 		go func() {
-			defer client.w.Close() //lint:ignore errcheck PipeWriter.Close always returns nil
+			defer client.w.Close()
 			for rest, i := stream, 0; len(rest) > 0; i++ {
 				n := len(rest)
 				if len(cuts) > 0 {

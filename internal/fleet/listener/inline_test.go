@@ -42,7 +42,7 @@ func dialRaw(t *testing.T, addr, id, token string) *rawSource {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { c.Close() }) //lint:ignore errcheck test connection teardown
+	t.Cleanup(func() { c.Close() })
 	if _, err := fmt.Fprintf(c, "%s %s %s\n", helloMagic, id, token); err != nil {
 		t.Fatal(err)
 	}
@@ -99,13 +99,13 @@ func waitCounter(t *testing.T, tn *fleet.Tenant, key string, want int64) {
 func TestFrameSplitAcrossReads(t *testing.T) {
 	fx := getFixture(t)
 	d := newFleet(t, fx)
-	defer d.Close() //lint:ignore errcheck fleet.Close always returns nil; deferred for cleanup only
+	defer d.Close()
 	tn, err := d.Add("home-1", "tok")
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := New(d)
-	defer srv.Close() //lint:ignore errcheck double Close is a no-op; deferred for cleanup only
+	defer srv.Close()
 	src := dialRaw(t, serveUnix(t, srv), "home-1", "tok")
 
 	var wire []byte
@@ -145,13 +145,13 @@ func TestFrameSplitAcrossReads(t *testing.T) {
 func TestLargeFramesTakeTheScratchPath(t *testing.T) {
 	fx := getFixture(t)
 	d := newFleet(t, fx)
-	defer d.Close() //lint:ignore errcheck fleet.Close always returns nil; deferred for cleanup only
+	defer d.Close()
 	tn, err := d.Add("home-1", "tok")
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := New(d)
-	defer srv.Close() //lint:ignore errcheck double Close is a no-op; deferred for cleanup only
+	defer srv.Close()
 	src := dialRaw(t, serveUnix(t, srv), "home-1", "tok")
 
 	// Oversized payloads are not decodable frames; they land in
@@ -204,8 +204,8 @@ func TestBadLengthRejectedAfterGoodRecords(t *testing.T) {
 		if got := tn.Status()["received_records"].(int64); got != 3 {
 			t.Errorf("length %d: %d records consumed before the bad header, want 3", bad, got)
 		}
-		srv.Close() //lint:ignore errcheck Close never fails
-		d.Close()   //lint:ignore errcheck fleet.Close always returns nil
+		srv.Close()
+		d.Close()
 	}
 }
 
@@ -270,7 +270,7 @@ func TestInlineIngestAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close() //lint:ignore errcheck fleet.Close always returns nil; deferred for cleanup only
+	defer d.Close()
 	tn, err := d.Add("home-1", "tok")
 	if err != nil {
 		t.Fatal(err)
@@ -303,7 +303,7 @@ func TestInlineIngestAllocatesNothing(t *testing.T) {
 	// Real monitoring: the same windows through a tenant and through a
 	// bare monitor.
 	d2 := newFleet(t, fx)
-	defer d2.Close() //lint:ignore errcheck fleet.Close always returns nil; deferred for cleanup only
+	defer d2.Close()
 	tn2, err := d2.Add("home-1", "tok")
 	if err != nil {
 		t.Fatal(err)
@@ -378,7 +378,7 @@ func TestConcurrentSourcesOneTenant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close() //lint:ignore errcheck fleet.Close always returns nil; deferred for cleanup only
+	defer d.Close()
 	tn, err := d.Add("home-1", "tok")
 	if err != nil {
 		t.Fatal(err)
@@ -387,7 +387,7 @@ func TestConcurrentSourcesOneTenant(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := New(d)
-	defer srv.Close() //lint:ignore errcheck double Close is a no-op; deferred for cleanup only
+	defer srv.Close()
 	addr := serveUnix(t, srv)
 	mux := http.NewServeMux()
 	d.RegisterHandlers(mux)
@@ -417,8 +417,8 @@ func TestConcurrentSourcesOneTenant(t *testing.T) {
 					t.Errorf("GET %s: %v", path, err)
 					return
 				}
-				io.Copy(io.Discard, resp.Body) //lint:ignore errcheck body is discarded
-				resp.Body.Close()              //lint:ignore errcheck test response teardown
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
 			}
 		}
 	}()

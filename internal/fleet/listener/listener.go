@@ -167,7 +167,7 @@ func (s *Server) forget(c net.Conn) {
 func (s *Server) handleConn(c net.Conn) {
 	defer s.wg.Done()
 	defer s.forget(c)
-	defer c.Close() //lint:ignore errcheck read side already drained or errored; nothing actionable in the close result
+	defer c.Close()
 
 	// The peer is unauthenticated until the hello round-trips; bound
 	// how long it may hold this goroutine before proving it belongs.

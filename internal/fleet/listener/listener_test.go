@@ -90,7 +90,7 @@ func serveUnix(t *testing.T, srv *Server) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go srv.Serve(l) //lint:ignore errcheck Serve returns ErrServerClosed on the test's Close path
+	go srv.Serve(l) // Serve returns ErrServerClosed on the test's Close path
 	return path
 }
 
@@ -112,13 +112,13 @@ func TestIngestRoundTrip(t *testing.T) {
 		network := network
 		t.Run(network, func(t *testing.T) {
 			d := newFleet(t, fx)
-			defer d.Close() //lint:ignore errcheck fleet.Close always returns nil; deferred for cleanup only
+			defer d.Close()
 			tn, err := d.Add("home-1", "tok-1")
 			if err != nil {
 				t.Fatal(err)
 			}
 			srv := New(d)
-			defer srv.Close() //lint:ignore errcheck double Close is a no-op; deferred for cleanup only
+			defer srv.Close()
 
 			var addr string
 			if network == "unix" {
@@ -129,7 +129,7 @@ func TestIngestRoundTrip(t *testing.T) {
 					t.Fatal(err)
 				}
 				addr = l.Addr().String()
-				go srv.Serve(l) //lint:ignore errcheck Serve returns ErrServerClosed on the test's Close path
+				go srv.Serve(l) // Serve returns ErrServerClosed on the test's Close path
 			}
 
 			s, err := Dial(network, addr, "home-1", "tok-1")
@@ -158,12 +158,12 @@ func TestIngestRoundTrip(t *testing.T) {
 func TestAuthRejection(t *testing.T) {
 	fx := getFixture(t)
 	d := newFleet(t, fx)
-	defer d.Close() //lint:ignore errcheck fleet.Close always returns nil; deferred for cleanup only
+	defer d.Close()
 	if _, err := d.Add("home-1", "right-token"); err != nil {
 		t.Fatal(err)
 	}
 	srv := New(d)
-	defer srv.Close() //lint:ignore errcheck double Close is a no-op; deferred for cleanup only
+	defer srv.Close()
 	addr := serveUnix(t, srv)
 
 	// The refusal is typed, and classified as an auth failure — the
@@ -195,7 +195,7 @@ func TestAuthRejection(t *testing.T) {
 	if got := string(buf[:n]); got != "ERR bad hello\n" {
 		t.Errorf("malformed hello got %q, want ERR bad hello", got)
 	}
-	c.Close() //lint:ignore errcheck test connection teardown
+	c.Close()
 }
 
 // TestHelloTimeoutDropsSilentPeer pins the slowloris guard: a peer
@@ -205,20 +205,20 @@ func TestAuthRejection(t *testing.T) {
 func TestHelloTimeoutDropsSilentPeer(t *testing.T) {
 	fx := getFixture(t)
 	d := newFleet(t, fx)
-	defer d.Close() //lint:ignore errcheck fleet.Close always returns nil; deferred for cleanup only
+	defer d.Close()
 	if _, err := d.Add("home-1", "tok"); err != nil {
 		t.Fatal(err)
 	}
 	srv := New(d)
 	srv.HelloTimeout = 100 * time.Millisecond
-	defer srv.Close() //lint:ignore errcheck double Close is a no-op; deferred for cleanup only
+	defer srv.Close()
 	addr := serveUnix(t, srv)
 
 	c, err := net.Dial("unix", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close() //lint:ignore errcheck test connection teardown
+	defer c.Close()
 	// Send nothing. The server must give up on us without our help;
 	// the client-side deadline only stops the test hanging on failure.
 	if err := c.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
@@ -246,19 +246,19 @@ func TestHelloTimeoutDropsSilentPeer(t *testing.T) {
 func TestOversizedRecordRejected(t *testing.T) {
 	fx := getFixture(t)
 	d := newFleet(t, fx)
-	defer d.Close() //lint:ignore errcheck fleet.Close always returns nil; deferred for cleanup only
+	defer d.Close()
 	if _, err := d.Add("home-1", "tok"); err != nil {
 		t.Fatal(err)
 	}
 	srv := New(d)
-	defer srv.Close() //lint:ignore errcheck double Close is a no-op; deferred for cleanup only
+	defer srv.Close()
 	addr := serveUnix(t, srv)
 
 	c, err := net.Dial("unix", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close() //lint:ignore errcheck test connection teardown
+	defer c.Close()
 	if _, err := fmt.Fprintf(c, "%s home-1 tok\n", helloMagic); err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestConcurrentSources(t *testing.T) {
 	const sources = 25
 	fx := getFixture(t)
 	d := newFleet(t, fx)
-	defer d.Close() //lint:ignore errcheck fleet.Close always returns nil; deferred for cleanup only
+	defer d.Close()
 	tenants := make([]*fleet.Tenant, sources)
 	for i := range tenants {
 		tn, err := d.Add(fmt.Sprintf("home-%02d", i), fmt.Sprintf("tok-%02d", i))
@@ -295,7 +295,7 @@ func TestConcurrentSources(t *testing.T) {
 		tenants[i] = tn
 	}
 	srv := New(d)
-	defer srv.Close() //lint:ignore errcheck double Close is a no-op; deferred for cleanup only
+	defer srv.Close()
 	addr := serveUnix(t, srv)
 
 	var wg sync.WaitGroup

@@ -58,7 +58,7 @@ func TestResumeFallbackObservable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d2.Close() //lint:ignore errcheck fleet.Close always returns nil; deferred for cleanup only
+	defer d2.Close()
 	tn2, err := d2.Add("home-1", "tok")
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +126,7 @@ func TestColdStartIsNotAFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close() //lint:ignore errcheck fleet.Close always returns nil; deferred for cleanup only
+	defer d.Close()
 	tn, err := d.Add("home-1", "tok")
 	if err != nil {
 		t.Fatal(err)

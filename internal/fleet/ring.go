@@ -38,7 +38,6 @@ const vnodesPerShard = 128
 // is immutable after New; lookups are safe for concurrent use.
 type Ring struct {
 	points []ringPoint // sorted by hash
-	shards int
 }
 
 type ringPoint struct {
@@ -51,7 +50,7 @@ func NewRing(shards int) *Ring {
 	if shards < 1 {
 		shards = 1
 	}
-	r := &Ring{shards: shards, points: make([]ringPoint, 0, shards*vnodesPerShard)}
+	r := &Ring{points: make([]ringPoint, 0, shards*vnodesPerShard)}
 	for s := 0; s < shards; s++ {
 		for v := 0; v < vnodesPerShard; v++ {
 			r.points = append(r.points, ringPoint{
@@ -70,9 +69,6 @@ func NewRing(shards int) *Ring {
 	})
 	return r
 }
-
-// Shards returns the shard count the ring was built for.
-func (r *Ring) Shards() int { return r.shards }
 
 // Lookup returns the shard index owning a tenant ID: the first ring
 // point at or clockwise of the tenant's hash.

@@ -59,9 +59,6 @@ type Flow struct {
 	Packets []PacketMeta
 }
 
-// Duration returns the burst duration.
-func (f *Flow) Duration() time.Duration { return f.End.Sub(f.Start) }
-
 // Bytes returns the total wire bytes of the burst.
 func (f *Flow) Bytes() int {
 	total := 0

@@ -57,8 +57,8 @@ func TestSingleFlowAssembly(t *testing.T) {
 	if f.Bytes() != 100+101+102+103+104 {
 		t.Errorf("bytes = %d", f.Bytes())
 	}
-	if f.Duration() != 400*time.Millisecond {
-		t.Errorf("duration = %v", f.Duration())
+	if d := f.End.Sub(f.Start); d != 400*time.Millisecond {
+		t.Errorf("duration = %v", d)
 	}
 }
 

@@ -22,6 +22,10 @@
 //     packages, where map iteration order would leak into trained
 //     artifacts.
 //
+// Test files (*_test.go) are out of scope: the loader never parses
+// them, so no analyzer sees test code and a directive written there
+// suppresses nothing.
+//
 // Findings can be suppressed with a justified comment on the offending
 // line or the line above it:
 //

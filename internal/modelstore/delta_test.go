@@ -34,6 +34,22 @@ func genKinds(t *testing.T, s *Store) map[int]string {
 	return kinds
 }
 
+// intactGens lists the generations Report finds intact, ascending.
+func intactGens(t *testing.T, s *Store) []int {
+	t.Helper()
+	infos, err := s.Report()
+	if err != nil {
+		t.Fatalf("Report: %v", err)
+	}
+	var gens []int
+	for _, info := range infos {
+		if info.Intact {
+			gens = append(gens, info.Generation)
+		}
+	}
+	return gens
+}
+
 // TestDeltaGenerationCadence pins the full-every-N schedule: with
 // FullEvery=3 the store writes full, delta, delta, full, … and every
 // generation still materializes to exactly what was written.
@@ -72,8 +88,8 @@ func TestDeltaGenerationCadence(t *testing.T) {
 		}
 	}
 	// Every intermediate generation must materialize too.
-	if intact, _ := s.Verify(); len(intact) != 7 {
-		t.Fatalf("Verify = %v, want all 7 generations intact", intact)
+	if intact := intactGens(t, s); len(intact) != 7 {
+		t.Fatalf("intact = %v, want all 7 generations", intact)
 	}
 }
 
@@ -104,9 +120,8 @@ func TestTornDeltaInvalidatesOnlySuffix(t *testing.T) {
 	if !bytes.Equal(snap.Files[FilePipeline], bytes.Repeat([]byte{'b'}, 2048)) {
 		t.Fatal("fallback generation materialized wrong bytes")
 	}
-	intact, err := s.Verify()
-	if err != nil || len(intact) != 2 || intact[0] != 1 || intact[1] != 2 {
-		t.Fatalf("Verify = %v, %v; want [1 2]", intact, err)
+	if intact := intactGens(t, s); len(intact) != 2 || intact[0] != 1 || intact[1] != 2 {
+		t.Fatalf("intact = %v; want [1 2]", intact)
 	}
 	// The report must blame gen 3 and everything chained through it.
 	infos, err := s.Report()
@@ -136,8 +151,8 @@ func TestCorruptBaseFullKillsWholeChain(t *testing.T) {
 	if _, err := s.Load("fp"); !errors.Is(err, ErrNoSnapshot) {
 		t.Fatalf("Load = %v, want ErrNoSnapshot", err)
 	}
-	if intact, _ := s.Verify(); len(intact) != 0 {
-		t.Fatalf("Verify = %v, want none intact", intact)
+	if intact := intactGens(t, s); len(intact) != 0 {
+		t.Fatalf("intact = %v, want none", intact)
 	}
 }
 
@@ -182,8 +197,8 @@ func TestDeltaWriteFaultFallsBack(t *testing.T) {
 	if kinds := genKinds(t, s); kinds[3] != KindDelta {
 		t.Fatalf("retry generation kind = %q, want delta (chain resumes)", kinds[3])
 	}
-	if intact, _ := s.Verify(); len(intact) != 3 {
-		t.Fatalf("Verify = %v, want 3 intact generations", intact)
+	if intact := intactGens(t, s); len(intact) != 3 {
+		t.Fatalf("intact = %v, want 3 generations", intact)
 	}
 }
 
@@ -257,8 +272,8 @@ func TestPruneNeverOrphansRetainedDelta(t *testing.T) {
 	if len(gens) != 2 || gens[0] != 5 || gens[1] != 6 {
 		t.Fatalf("generations = %v, want [5 6]", gens)
 	}
-	if intact, _ := s.Verify(); len(intact) != 2 {
-		t.Fatalf("Verify = %v, want [5 6] intact", intact)
+	if intact := intactGens(t, s); len(intact) != 2 {
+		t.Fatalf("intact = %v, want [5 6]", intact)
 	}
 }
 

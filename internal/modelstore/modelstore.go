@@ -222,9 +222,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // generations lists the store's gen-N directories, ascending.
 func (s *Store) generations() ([]int, error) {
 	entries, err := s.fs.ReadDir(s.dir)
@@ -630,26 +627,6 @@ func (s *Store) prune(newest int) {
 	}
 }
 
-// Verify walks every generation and returns the numbers of those that
-// fully materialize — manifest readable, every stored CRC intact, and
-// for delta generations the whole chain back to a full patching
-// cleanly. It is the soak oracle for "no lost generations": after a
-// faulted-then-retried checkpoint, the newest pre-fault generation must
-// still appear here.
-func (s *Store) Verify() ([]int, error) {
-	gens, err := s.generations()
-	if err != nil {
-		return nil, fmt.Errorf("modelstore: %w", err)
-	}
-	var intact []int
-	for _, g := range gens {
-		if _, _, err := s.loadChain(g); err == nil {
-			intact = append(intact, g)
-		}
-	}
-	return intact, nil
-}
-
 // GenInfo is one generation's row in a Report: its stored metadata,
 // on-disk payload size, and whether its whole chain materializes.
 type GenInfo struct {
@@ -664,7 +641,9 @@ type GenInfo struct {
 }
 
 // Report fully verifies every generation and describes each one —
-// the machinery behind behaviotd -verify-store.
+// the machinery behind behaviotd -verify-store. The Intact rows are the
+// soaks' "no lost generations" oracle: after a faulted-then-retried
+// checkpoint, the newest pre-fault generation must still be intact.
 func (s *Store) Report() ([]GenInfo, error) {
 	gens, err := s.generations()
 	if err != nil {

@@ -58,8 +58,8 @@ func TestOpenTenantNamespacesUnderRoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := filepath.Join(root, "tenants", "home-042")
-	if s.Dir() != want {
-		t.Fatalf("tenant store dir = %q, want %q", s.Dir(), want)
+	if s.dir != want {
+		t.Fatalf("tenant store dir = %q, want %q", s.dir, want)
 	}
 }
 
@@ -102,7 +102,7 @@ func TestTenantPruneIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustWrite(t, bob, "fp", testFiles("bob"))
-	before := dirSnapshot(t, bob.Dir())
+	before := dirSnapshot(t, bob.dir)
 
 	// Alice churns through enough generations to trigger pruning on
 	// every write; Bob's bytes must not move.
@@ -113,7 +113,7 @@ func TestTenantPruneIsolation(t *testing.T) {
 		t.Fatalf("alice generations = %v, want [5]", gens)
 	}
 
-	after := dirSnapshot(t, bob.Dir())
+	after := dirSnapshot(t, bob.dir)
 	if len(before) != len(after) {
 		t.Fatalf("bob's file set changed: %d -> %d files", len(before), len(after))
 	}

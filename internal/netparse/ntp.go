@@ -2,7 +2,6 @@ package netparse
 
 import (
 	"encoding/binary"
-	"errors"
 	"time"
 )
 
@@ -25,15 +24,12 @@ const (
 
 // NTPPacket is a minimal NTP v4 packet: enough to synthesize the periodic
 // NTP sync traffic that IoT devices emit (paper §6.1 observes 17 distinct
-// NTP servers across the testbed) and to recognize it when decoding.
+// NTP servers across the testbed).
 type NTPPacket struct {
 	Mode     byte
 	Stratum  byte
 	Transmit time.Time
 }
-
-// ErrNotNTP is returned when a payload cannot be an NTP packet.
-var ErrNotNTP = errors.New("netparse: not an NTP packet")
 
 // EncodeNTP serializes the packet.
 func EncodeNTP(p *NTPPacket) []byte {
@@ -45,26 +41,4 @@ func EncodeNTP(p *NTPPacket) []byte {
 	binary.BigEndian.PutUint32(buf[40:44], secs)
 	binary.BigEndian.PutUint32(buf[44:48], frac)
 	return buf
-}
-
-// DecodeNTP parses an NTP packet payload.
-func DecodeNTP(data []byte) (*NTPPacket, error) {
-	if len(data) < ntpPacketLen {
-		return nil, ErrNotNTP
-	}
-	version := data[0] >> 3 & 0x7
-	if version < 1 || version > 4 {
-		return nil, ErrNotNTP
-	}
-	p := &NTPPacket{
-		Mode:    data[0] & 0x7,
-		Stratum: data[1],
-	}
-	secs := binary.BigEndian.Uint32(data[40:44])
-	frac := binary.BigEndian.Uint32(data[44:48])
-	if secs != 0 {
-		nanos := int64(float64(frac) / (1 << 32) * 1e9)
-		p.Transmit = time.Unix(int64(secs)-ntpEpochOffset, nanos).UTC()
-	}
-	return p, nil
 }

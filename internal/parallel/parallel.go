@@ -66,16 +66,6 @@ func Map[T, R any](workers int, items []T, fn func(i int, item T) R) []R {
 	return out
 }
 
-// ForEach runs fn(i) for i in [0, n) on up to Resolve(workers)
-// goroutines. Like Map, fn must be concurrency-safe and per-index pure.
-func ForEach(workers, n int, fn func(i int)) {
-	idx := make([]struct{}, n)
-	Map(workers, idx, func(i int, _ struct{}) struct{} {
-		fn(i)
-		return struct{}{}
-	})
-}
-
 // FirstError collects the first error reported by concurrent workers,
 // keyed by the lowest item index so the winner is deterministic even
 // when several workers fail.

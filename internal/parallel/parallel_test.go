@@ -46,7 +46,7 @@ func TestMapEmptyAndSingle(t *testing.T) {
 
 func TestMapBoundsConcurrency(t *testing.T) {
 	var inflight, peak atomic.Int64
-	ForEach(3, 100, func(i int) {
+	Map(3, make([]struct{}, 100), func(int, struct{}) struct{} {
 		n := inflight.Add(1)
 		for {
 			p := peak.Load()
@@ -55,15 +55,19 @@ func TestMapBoundsConcurrency(t *testing.T) {
 			}
 		}
 		inflight.Add(-1)
+		return struct{}{}
 	})
 	if p := peak.Load(); p > 3 {
 		t.Errorf("observed %d concurrent workers, want ≤ 3", p)
 	}
 }
 
-func TestForEachCoversAllIndices(t *testing.T) {
+func TestMapVisitsEachIndexOnce(t *testing.T) {
 	seen := make([]atomic.Int64, 50)
-	ForEach(8, 50, func(i int) { seen[i].Add(1) })
+	Map(8, make([]struct{}, 50), func(i int, _ struct{}) struct{} {
+		seen[i].Add(1)
+		return struct{}{}
+	})
 	for i := range seen {
 		if n := seen[i].Load(); n != 1 {
 			t.Errorf("index %d visited %d times", i, n)

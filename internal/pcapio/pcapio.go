@@ -198,11 +198,9 @@ func (h *mergeHeap) Pop() any {
 // truncated tails end the stream cleanly, and Skipped reports how many
 // times damage was skipped over.
 type Reader struct {
-	r        *bufio.Reader
-	order    binary.ByteOrder
-	nanos    bool
-	linkType LinkType
-	snapLen  uint32
+	r     *bufio.Reader
+	order binary.ByteOrder
+	nanos bool
 
 	tolerant     bool
 	skipped      int64
@@ -242,16 +240,8 @@ func NewReader(r io.Reader) (*Reader, error) {
 	default:
 		return nil, ErrBadMagic
 	}
-	rd.snapLen = rd.order.Uint32(hdr[16:20])
-	rd.linkType = LinkType(rd.order.Uint32(hdr[20:24]))
 	return rd, nil
 }
-
-// LinkType returns the capture's link type.
-func (r *Reader) LinkType() LinkType { return r.linkType }
-
-// SnapLen returns the capture's snapshot length.
-func (r *Reader) SnapLen() uint32 { return r.snapLen }
 
 // SetTolerant switches the reader between strict (default) and
 // degrade-gracefully reading. In tolerant mode a record with an

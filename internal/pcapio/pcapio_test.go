@@ -31,15 +31,16 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	hdr := buf.Bytes()[:24]
+	if lt := LinkType(binary.LittleEndian.Uint32(hdr[20:24])); lt != LinkTypeEthernet {
+		t.Errorf("link type = %d", lt)
+	}
+	if sl := binary.LittleEndian.Uint32(hdr[16:20]); sl != MaxSnapLen {
+		t.Errorf("snap len = %d", sl)
+	}
 	r, err := NewReader(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if r.LinkType() != LinkTypeEthernet {
-		t.Errorf("link type = %d", r.LinkType())
-	}
-	if r.SnapLen() != MaxSnapLen {
-		t.Errorf("snap len = %d", r.SnapLen())
 	}
 	for i, want := range packets {
 		ts, data, err := r.ReadPacket()

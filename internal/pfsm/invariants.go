@@ -44,14 +44,10 @@ func (iv Invariant) String() string {
 	return fmt.Sprintf("%s %s %s", iv.A, iv.Kind, iv.B)
 }
 
-// MineInvariants extracts the AFby/NFby/AP invariants that hold over every
+// mineInvariants extracts the AFby/NFby/AP invariants that hold over every
 // trace. Only event-type pairs that co-occur in at least one trace are
 // considered (Synoptic's relevance restriction), keeping the invariant set
 // meaningful for refinement.
-func MineInvariants(traces []Trace) []Invariant {
-	return mineInvariants(traces)
-}
-
 func mineInvariants(traces []Trace) []Invariant {
 	types := map[string]bool{}
 	for _, tr := range traces {

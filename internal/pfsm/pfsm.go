@@ -174,23 +174,6 @@ func buildModel(traces []Trace, partition [][]int, partLabel map[int]string, num
 // NumStates returns the number of states excluding INITIAL and TERMINAL.
 func (m *Model) NumStates() int { return len(m.States) - 2 }
 
-// NumEdges returns the number of distinct observed transitions, excluding
-// those touching INITIAL/TERMINAL.
-func (m *Model) NumEdges() int {
-	n := 0
-	for i, outs := range m.counts {
-		if i == initialID {
-			continue
-		}
-		for j := range outs {
-			if j != terminalID {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // TotalEdges returns all distinct transitions including INITIAL/TERMINAL
 // edges (the "transitions" count the paper reports for Fig 3 includes
 // entries and exits).

@@ -183,7 +183,7 @@ func TestMineInvariants(t *testing.T) {
 		{"a", "b", "c"},
 		{"a", "b"},
 	}
-	invs := MineInvariants(traces)
+	invs := mineInvariants(traces)
 	has := func(k InvariantKind, a, b string) bool {
 		for _, iv := range invs {
 			if iv.Kind == k && iv.A == a && iv.B == b {
@@ -277,9 +277,17 @@ func TestRefinementBounded(t *testing.T) {
 }
 
 func TestNumEdgesAndTotalEdges(t *testing.T) {
+	// TotalEdges (Fig 3's transition count) includes the entry and exit
+	// edges, so it exceeds the count of edges between event states.
 	m := Infer(routineTraces(), Options{DisableRefinement: true})
-	if m.NumEdges() <= 0 || m.TotalEdges() <= m.NumEdges() {
-		t.Errorf("NumEdges=%d TotalEdges=%d", m.NumEdges(), m.TotalEdges())
+	inner := 0
+	for _, tr := range m.Transitions() {
+		if tr.FromLabel != InitialLabel && tr.ToLabel != TerminalLabel {
+			inner++
+		}
+	}
+	if inner <= 0 || m.TotalEdges() != len(m.Transitions()) || m.TotalEdges() <= inner {
+		t.Errorf("inner edges=%d TotalEdges=%d transitions=%d", inner, m.TotalEdges(), len(m.Transitions()))
 	}
 }
 

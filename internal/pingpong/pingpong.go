@@ -253,9 +253,6 @@ func Train(byEvent map[string][]*flows.Flow, cfg Config) *Classifier {
 	return c
 }
 
-// Signatures returns the trained signatures.
-func (c *Classifier) Signatures() []Signature { return c.sigs }
-
 // Classify returns the first matching event's label, preferring the most
 // specific (longest) signature; ok=false when nothing matches.
 func (c *Classifier) Classify(f *flows.Flow) (string, bool) {

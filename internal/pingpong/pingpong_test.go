@@ -83,8 +83,8 @@ func TestExtractNoStablePairs(t *testing.T) {
 func TestClassifierAccuracyOnSeparableEvents(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	c := Train(trainingSet(rng), Config{})
-	if len(c.Signatures()) != 3 {
-		t.Fatalf("signatures = %d, want 3", len(c.Signatures()))
+	if len(c.sigs) != 3 {
+		t.Fatalf("signatures = %d, want 3", len(c.sigs))
 	}
 	// Fresh test flows.
 	correct, total := 0, 0

@@ -108,12 +108,6 @@ func Train(X [][]float64, y []int, cfg Config) (*Forest, error) {
 	return f, nil
 }
 
-// NumClasses returns the number of classes the forest predicts.
-func (f *Forest) NumClasses() int { return f.numClasses }
-
-// NumTrees returns the ensemble size.
-func (f *Forest) NumTrees() int { return len(f.trees) }
-
 // Proba returns the per-class probability for x, computed as the fraction
 // of trees voting for each class.
 func (f *Forest) Proba(x []float64) []float64 {
@@ -126,32 +120,6 @@ func (f *Forest) Proba(x []float64) []float64 {
 		votes[i] /= n
 	}
 	return votes
-}
-
-// Predict returns the majority-vote class for x.
-func (f *Forest) Predict(x []float64) int {
-	p := f.Proba(x)
-	best := 0
-	for c := 1; c < len(p); c++ {
-		if p[c] > p[best] {
-			best = c
-		}
-	}
-	return best
-}
-
-// Accuracy evaluates the forest on a labeled test set.
-func (f *Forest) Accuracy(X [][]float64, y []int) float64 {
-	if len(X) == 0 {
-		return 0
-	}
-	correct := 0
-	for i, x := range X {
-		if f.Predict(x) == y[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(X))
 }
 
 // BinaryEnsemble is the paper's user-action model structure: one binary
@@ -233,9 +201,6 @@ func TrainBinaryEnsemble(samplesByLabel map[string][][]float64, cfg Config) (*Bi
 	}
 	return be, nil
 }
-
-// Labels returns the activity labels in classifier order.
-func (be *BinaryEnsemble) Labels() []string { return be.labels }
 
 // Predict returns the label whose binary classifier reports the highest
 // positive probability, with ok=false when no classifier is positive

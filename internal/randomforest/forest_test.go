@@ -21,6 +21,37 @@ func twoGaussians(rng *rand.Rand, n int) (X [][]float64, y []int) {
 	return X, y
 }
 
+// predict is the majority vote over Forest.Proba, the call the
+// multiclass user-action path makes.
+func predict(f *Forest, x []float64) int {
+	p := f.Proba(x)
+	best := 0
+	for c := 1; c < len(p); c++ {
+		if p[c] > p[best] {
+			best = c
+		}
+	}
+	return best
+}
+
+func accuracy(f *Forest, X [][]float64, y []int) float64 {
+	correct := 0
+	for i, x := range X {
+		if predict(f, x) == y[i] {
+			correct++
+		}
+	}
+	return float64(correct) / float64(len(X))
+}
+
+// depth is the longest root-to-leaf path (a root-only tree has depth 0).
+func depth(n *node) int {
+	if n == nil || n.isLeaf {
+		return 0
+	}
+	return 1 + max(depth(n.left), depth(n.right))
+}
+
 func TestTrainSeparable(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	X, y := twoGaussians(rng, 200)
@@ -29,14 +60,14 @@ func TestTrainSeparable(t *testing.T) {
 		t.Fatal(err)
 	}
 	Xt, yt := twoGaussians(rand.New(rand.NewSource(2)), 100)
-	if acc := f.Accuracy(Xt, yt); acc < 0.95 {
+	if acc := accuracy(f, Xt, yt); acc < 0.95 {
 		t.Errorf("accuracy = %v, want >= 0.95", acc)
 	}
-	if f.NumClasses() != 2 {
-		t.Errorf("NumClasses = %d, want 2", f.NumClasses())
+	if n := len(f.Proba(Xt[0])); n != 2 {
+		t.Errorf("Proba over %d classes, want 2", n)
 	}
-	if f.NumTrees() != 30 {
-		t.Errorf("NumTrees = %d, want 30", f.NumTrees())
+	if len(f.trees) != 30 {
+		t.Errorf("trees = %d, want 30", len(f.trees))
 	}
 }
 
@@ -56,7 +87,7 @@ func TestTrainMulticlass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if acc := f.Accuracy(X, y); acc < 0.98 {
+	if acc := accuracy(f, X, y); acc < 0.98 {
 		t.Errorf("train accuracy = %v, want >= 0.98", acc)
 	}
 	p := f.Proba([]float64{5, -3})
@@ -70,8 +101,8 @@ func TestTrainMulticlass(t *testing.T) {
 	if sum < 0.999 || sum > 1.001 {
 		t.Errorf("Proba sums to %v, want 1", sum)
 	}
-	if f.Predict([]float64{5, -3}) != 1 {
-		t.Errorf("Predict center of class 1 = %d", f.Predict([]float64{5, -3}))
+	if got := predict(f, []float64{5, -3}); got != 1 {
+		t.Errorf("vote at center of class 1 = %d", got)
 	}
 }
 
@@ -115,8 +146,8 @@ func TestSingleClassDegenerates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := f.Predict([]float64{100, -100}); got != 0 {
-		t.Errorf("Predict = %d, want 0", got)
+	if got := predict(f, []float64{100, -100}); got != 0 {
+		t.Errorf("vote = %d, want 0", got)
 	}
 }
 
@@ -129,7 +160,7 @@ func TestConstantFeatures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = f.Predict([]float64{1, 1})
+	_ = f.Proba([]float64{1, 1})
 }
 
 func TestTreeDepthBound(t *testing.T) {
@@ -140,7 +171,7 @@ func TestTreeDepthBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, tree := range f.trees {
-		if d := tree.Depth(); d > 3 {
+		if d := depth(tree.root); d > 3 {
 			t.Errorf("tree %d depth %d exceeds MaxDepth 3", i, d)
 		}
 	}
@@ -155,7 +186,7 @@ func TestMinLeafRespected(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tree := range f.trees {
-		if tree.Depth() != 0 {
+		if depth(tree.root) != 0 {
 			t.Error("MinLeaf=100 on 50 samples should yield stumps of depth 0")
 		}
 	}
@@ -180,8 +211,8 @@ func TestBinaryEnsemble(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(be.Labels()) != 4 {
-		t.Fatalf("labels = %v", be.Labels())
+	if len(be.labels) != 4 {
+		t.Fatalf("labels = %v", be.labels)
 	}
 	cases := map[string][]float64{
 		"bulb:on":    {0.1, -0.1},
@@ -232,9 +263,9 @@ func TestBinaryEnsembleDeterministicLabelOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{"a", "m", "z"}
-	for i, l := range be.Labels() {
+	for i, l := range be.labels {
 		if l != want[i] {
-			t.Fatalf("Labels() = %v, want %v", be.Labels(), want)
+			t.Fatalf("labels = %v, want %v", be.labels, want)
 		}
 	}
 }
@@ -272,13 +303,13 @@ func BenchmarkTrain200x21(b *testing.B) {
 	}
 }
 
-func BenchmarkPredict(b *testing.B) {
+func BenchmarkProba(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	X, y := twoGaussians(rng, 400)
 	f, _ := Train(X, y, Config{NumTrees: 100, Seed: 1})
 	probe := []float64{2, 2, 0}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.Predict(probe)
+		f.Proba(probe)
 	}
 }

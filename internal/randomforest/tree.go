@@ -7,7 +7,6 @@
 package randomforest
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 )
@@ -171,14 +170,4 @@ func (t *Tree) Predict(x []float64) int {
 		}
 	}
 	return best
-}
-
-// Depth returns the maximum depth of the tree (a root-only tree has depth 0).
-func (t *Tree) Depth() int { return depthOf(t.root) }
-
-func depthOf(n *node) int {
-	if n == nil || n.isLeaf {
-		return 0
-	}
-	return 1 + int(math.Max(float64(depthOf(n.left)), float64(depthOf(n.right))))
 }

@@ -1,31 +1,23 @@
 // Package stats provides the statistical primitives used throughout
 // BehavIoT: descriptive moments for flow features (Table 8 of the paper),
-// z-scores and binomial significance tests for the long-term deviation
-// metric, empirical CDFs for threshold selection, and knee detection for
-// the periodic-event deviation threshold (Fig. 4a).
+// the binomial significance test and normal quantile for the long-term
+// deviation metric, and empirical CDFs and percentiles for reporting the
+// deviation distributions (Fig. 4).
 //
 // All functions operate on float64 slices and never mutate their inputs
 // unless documented otherwise.
 package stats
 
 import (
-	"errors"
 	"math"
 	"sort"
 
 	"behaviot/internal/floatcmp"
 )
 
-// ErrEmpty is returned by functions that cannot operate on empty input.
-var ErrEmpty = errors.New("stats: empty input")
-
-// Eps is the default tolerance for ApproxEqual, re-exported from the
-// leaf internal/floatcmp package.
-const Eps = floatcmp.Eps
-
-// ApproxEqual reports whether a and b are equal within Eps, scaled by
-// the larger magnitude so the tolerance behaves relatively for large
-// values and absolutely near zero. It delegates to internal/floatcmp,
+// ApproxEqual reports whether a and b are equal within floatcmp.Eps,
+// scaled by the larger magnitude so the tolerance behaves relatively for
+// large values and absolutely near zero. It delegates to internal/floatcmp,
 // the leaf home of the comparison; packages that want to avoid the
 // stats dependency tree (e.g. internal/dsp) import floatcmp directly.
 func ApproxEqual(a, b float64) bool { return floatcmp.ApproxEqual(a, b) }
@@ -46,15 +38,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
 }
 
 // Min returns the smallest element of xs, or 0 for empty input.
@@ -100,28 +83,6 @@ func Variance(xs []float64) float64 {
 	}
 	return ss / float64(n)
 }
-
-// SampleVariance returns the unbiased sample variance (dividing by n-1).
-// It returns 0 when xs has fewer than two elements.
-func SampleVariance(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	mu := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - mu
-		ss += d * d
-	}
-	return ss / float64(n-1)
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// SampleStdDev returns the sample standard deviation of xs.
-func SampleStdDev(xs []float64) float64 { return math.Sqrt(SampleVariance(xs)) }
 
 // Median returns the median of xs without mutating it.
 // It returns 0 for empty input.
@@ -197,15 +158,6 @@ func Kurtosis(xs []float64) float64 {
 	return m4/(m2*m2) - 3
 }
 
-// ZScore returns (x - mean) / stddev for the given population parameters.
-// A zero stddev yields 0 to keep deviation metrics bounded.
-func ZScore(x, mean, stddev float64) float64 {
-	if IsZero(stddev) {
-		return 0
-	}
-	return (x - mean) / stddev
-}
-
 // BinomialZ computes the z statistic used by the long-term deviation metric
 // (paper §4.3): z = (p - p0) / sqrt(p0 (1-p0) / n), where p is the observed
 // transition probability in the new window, p0 the modeled probability, and
@@ -233,12 +185,6 @@ func sign(x float64) int {
 		return -1
 	}
 	return 1
-}
-
-// NormalCDF returns Φ(x), the standard normal cumulative distribution
-// function, computed via the error function.
-func NormalCDF(x float64) float64 {
-	return 0.5 * (1 + math.Erf(x/math.Sqrt2))
 }
 
 // NormalQuantile returns Φ⁻¹(p) for p in (0,1) using the
@@ -281,20 +227,6 @@ func NormalQuantile(p float64) float64 {
 	}
 }
 
-// ConfidenceInterval returns the two-sided confidence interval bounds
-// [lo, hi] around the mean of xs at the given level (e.g. 0.95), using a
-// normal approximation. Empty input yields [0, 0].
-func ConfidenceInterval(xs []float64, level float64) (lo, hi float64) {
-	n := len(xs)
-	if n == 0 {
-		return 0, 0
-	}
-	mu := Mean(xs)
-	se := SampleStdDev(xs) / math.Sqrt(float64(n))
-	z := NormalQuantile(0.5 + level/2)
-	return mu - z*se, mu + z*se
-}
-
 // ECDF is an empirical cumulative distribution function built from a sample.
 // The zero value is unusable; construct with NewECDF.
 type ECDF struct {
@@ -308,21 +240,8 @@ func NewECDF(xs []float64) *ECDF {
 	return &ECDF{sorted: s}
 }
 
-// At returns the fraction of the sample that is <= x.
-func (e *ECDF) At(x float64) float64 {
-	if len(e.sorted) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(e.sorted, x)
-	// Advance past duplicates equal to x (Search returns the first
-	// index >= x, so <= here means exactly ==).
-	for i < len(e.sorted) && e.sorted[i] <= x {
-		i++
-	}
-	return float64(i) / float64(len(e.sorted))
-}
-
-// Quantile returns the smallest sample value v such that At(v) >= q.
+// Quantile returns the smallest sample value v such that at least a
+// fraction q of the sample is <= v.
 // q is clamped to [0,1]. Empty ECDFs return 0.
 func (e *ECDF) Quantile(q float64) float64 {
 	n := len(e.sorted)
@@ -343,42 +262,6 @@ func (e *ECDF) Quantile(q float64) float64 {
 		idx = n - 1
 	}
 	return e.sorted[idx]
-}
-
-// Len returns the sample size underlying the ECDF.
-func (e *ECDF) Len() int { return len(e.sorted) }
-
-// Values returns the sorted sample. The caller must not modify it.
-func (e *ECDF) Values() []float64 { return e.sorted }
-
-// Knee locates the "knee" of the curve y(x) given by the points
-// (xs[i], ys[i]) using the Kneedle-style maximum-distance-to-chord method:
-// the index whose point is farthest from the straight line joining the first
-// and last points. The paper uses the knee of the zoomed CDF to pick the
-// periodic-event deviation threshold (§5.3). It returns the index of the
-// knee point; inputs shorter than 3 return 0.
-func Knee(xs, ys []float64) int {
-	n := len(xs)
-	if n != len(ys) || n < 3 {
-		return 0
-	}
-	x0, y0 := xs[0], ys[0]
-	x1, y1 := xs[n-1], ys[n-1]
-	dx, dy := x1-x0, y1-y0
-	norm := math.Hypot(dx, dy)
-	if IsZero(norm) {
-		return 0
-	}
-	best, bestDist := 0, -1.0
-	for i := 1; i < n-1; i++ {
-		// Perpendicular distance from (xs[i], ys[i]) to the chord.
-		d := math.Abs(dy*xs[i]-dx*ys[i]+x1*y0-y1*x0) / norm
-		if d > bestDist {
-			bestDist = d
-			best = i
-		}
-	}
-	return best
 }
 
 // MeanStd returns both the mean and the population standard deviation of xs

@@ -27,16 +27,13 @@ func TestMeanBasics(t *testing.T) {
 	}
 }
 
-func TestMinMaxSum(t *testing.T) {
+func TestMinMax(t *testing.T) {
 	xs := []float64{3, -2, 7, 0}
 	if Min(xs) != -2 {
 		t.Errorf("Min = %v, want -2", Min(xs))
 	}
 	if Max(xs) != 7 {
 		t.Errorf("Max = %v, want 7", Max(xs))
-	}
-	if Sum(xs) != 8 {
-		t.Errorf("Sum = %v, want 8", Sum(xs))
 	}
 	if Min(nil) != 0 || Max(nil) != 0 {
 		t.Error("Min/Max of empty should be 0")
@@ -48,15 +45,8 @@ func TestVariance(t *testing.T) {
 	if got := Variance(xs); !almostEqual(got, 4, 1e-12) {
 		t.Errorf("Variance = %v, want 4", got)
 	}
-	if got := StdDev(xs); !almostEqual(got, 2, 1e-12) {
-		t.Errorf("StdDev = %v, want 2", got)
-	}
 	if Variance([]float64{5}) != 0 {
 		t.Error("Variance of singleton should be 0")
-	}
-	// Sample variance uses n-1.
-	if got := SampleVariance(xs); !almostEqual(got, 32.0/7.0, 1e-12) {
-		t.Errorf("SampleVariance = %v, want %v", got, 32.0/7.0)
 	}
 }
 
@@ -120,15 +110,6 @@ func TestKurtosis(t *testing.T) {
 	}
 }
 
-func TestZScore(t *testing.T) {
-	if got := ZScore(12, 10, 2); got != 1 {
-		t.Errorf("ZScore = %v, want 1", got)
-	}
-	if got := ZScore(12, 10, 0); got != 0 {
-		t.Errorf("ZScore with zero std = %v, want 0", got)
-	}
-}
-
 func TestBinomialZ(t *testing.T) {
 	// Observed probability equals modeled: z = 0.
 	if got := BinomialZ(0.5, 0.5, 100); got != 0 {
@@ -159,22 +140,10 @@ func TestBinomialZ(t *testing.T) {
 	}
 }
 
-func TestNormalCDF(t *testing.T) {
-	if got := NormalCDF(0); !almostEqual(got, 0.5, 1e-12) {
-		t.Errorf("Φ(0) = %v, want 0.5", got)
-	}
-	if got := NormalCDF(1.959963985); !almostEqual(got, 0.975, 1e-6) {
-		t.Errorf("Φ(1.96) = %v, want 0.975", got)
-	}
-	if got := NormalCDF(-1.959963985); !almostEqual(got, 0.025, 1e-6) {
-		t.Errorf("Φ(-1.96) = %v, want 0.025", got)
-	}
-}
-
 func TestNormalQuantileRoundTrip(t *testing.T) {
 	for _, p := range []float64{0.001, 0.025, 0.1, 0.5, 0.9, 0.975, 0.999} {
 		x := NormalQuantile(p)
-		if got := NormalCDF(x); !almostEqual(got, p, 1e-8) {
+		if got := 0.5 * (1 + math.Erf(x/math.Sqrt2)); !almostEqual(got, p, 1e-8) {
 			t.Errorf("Φ(Φ⁻¹(%v)) = %v", p, got)
 		}
 	}
@@ -183,37 +152,15 @@ func TestNormalQuantileRoundTrip(t *testing.T) {
 	}
 }
 
-func TestConfidenceInterval(t *testing.T) {
-	xs := make([]float64, 1000)
-	rng := rand.New(rand.NewSource(1))
-	for i := range xs {
-		xs[i] = rng.NormFloat64()*2 + 10
-	}
-	lo, hi := ConfidenceInterval(xs, 0.95)
-	if !(lo < 10 && 10 < hi) {
-		t.Errorf("CI [%v, %v] should contain the true mean 10", lo, hi)
-	}
-	if hi-lo > 0.5 {
-		t.Errorf("CI width %v too wide for n=1000", hi-lo)
-	}
-	lo, hi = ConfidenceInterval(nil, 0.95)
-	if lo != 0 || hi != 0 {
-		t.Error("empty CI should be [0,0]")
-	}
-}
-
 func TestECDF(t *testing.T) {
-	e := NewECDF([]float64{1, 2, 2, 3})
-	cases := []struct{ x, want float64 }{
-		{0.5, 0}, {1, 0.25}, {1.5, 0.25}, {2, 0.75}, {3, 1}, {4, 1},
+	e := NewECDF([]float64{3, 2, 1, 2})
+	cases := []struct{ q, want float64 }{
+		{0.1, 1}, {0.25, 1}, {0.26, 2}, {0.75, 2}, {0.76, 3},
 	}
 	for _, c := range cases {
-		if got := e.At(c.x); !almostEqual(got, c.want, 1e-12) {
-			t.Errorf("ECDF.At(%v) = %v, want %v", c.x, got, c.want)
+		if got := e.Quantile(c.q); got != c.want {
+			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
 		}
-	}
-	if e.Len() != 4 {
-		t.Errorf("Len = %d, want 4", e.Len())
 	}
 	if got := e.Quantile(0.5); got != 2 {
 		t.Errorf("Quantile(0.5) = %v, want 2", got)
@@ -225,8 +172,8 @@ func TestECDF(t *testing.T) {
 		t.Errorf("Quantile(0) = %v, want 1", got)
 	}
 	empty := NewECDF(nil)
-	if empty.At(5) != 0 || empty.Quantile(0.5) != 0 {
-		t.Error("empty ECDF should return 0s")
+	if empty.Quantile(0.5) != 0 {
+		t.Error("empty ECDF should return 0")
 	}
 }
 
@@ -236,10 +183,10 @@ func TestECDFMonotone(t *testing.T) {
 			return true
 		}
 		e := NewECDF(raw)
-		prev := -1.0
-		for _, x := range []float64{-1e9, -10, 0, 1, 10, 1e9} {
-			v := e.At(x)
-			if v < prev || v < 0 || v > 1 {
+		prev := e.Quantile(0)
+		for _, q := range []float64{0.01, 0.1, 0.5, 0.9, 0.99, 1} {
+			v := e.Quantile(q)
+			if v < prev {
 				return false
 			}
 			prev = v
@@ -248,26 +195,6 @@ func TestECDFMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestKnee(t *testing.T) {
-	// A curve that rises fast then flattens: knee near the bend.
-	xs := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	ys := []float64{0, 50, 80, 92, 96, 97, 98, 98.5, 99, 99.5, 100}
-	k := Knee(xs, ys)
-	if k < 1 || k > 3 {
-		t.Errorf("Knee index = %d, want near the bend (1..3)", k)
-	}
-	if Knee([]float64{1, 2}, []float64{1, 2}) != 0 {
-		t.Error("short input should return 0")
-	}
-	if Knee(xs, ys[:5]) != 0 {
-		t.Error("mismatched lengths should return 0")
-	}
-	// Degenerate chord (all same point) must not panic.
-	if Knee([]float64{1, 1, 1}, []float64{2, 2, 2}) != 0 {
-		t.Error("degenerate chord should return 0")
 	}
 }
 
@@ -283,7 +210,7 @@ func TestMeanStdMatchesSeparate(t *testing.T) {
 		}
 		m, s := MeanStd(xs)
 		return almostEqual(m, Mean(xs), 1e-6*(1+math.Abs(m))) &&
-			almostEqual(s, StdDev(xs), 1e-4*(1+s))
+			almostEqual(s, math.Sqrt(Variance(xs)), 1e-4*(1+s))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -315,8 +242,14 @@ func TestQuantileECDFConsistency(t *testing.T) {
 	e := NewECDF(xs)
 	for _, q := range []float64{0.1, 0.25, 0.5, 0.9, 0.99} {
 		v := e.Quantile(q)
-		if e.At(v) < q {
-			t.Errorf("At(Quantile(%v)) = %v < %v", q, e.At(v), q)
+		atOrBelow := 0
+		for _, x := range xs {
+			if x <= v {
+				atOrBelow++
+			}
+		}
+		if frac := float64(atOrBelow) / float64(len(xs)); frac < q {
+			t.Errorf("fraction <= Quantile(%v) is %v < %v", q, frac, q)
 		}
 	}
 }

@@ -178,7 +178,3 @@ var defs = []deviceDef{
 	{"GE Microwave", "GE", CatAppliance, 2, [3]int{2, 1, 1}, false},
 	{"Anova Sousvide", "Anova", CatAppliance, 2, [3]int{2, 1, 0}, false},
 }
-
-// RoutineDeviceCount is the number of devices participating in the routine
-// dataset (paper §3.2 uses 18).
-const RoutineDeviceCount = 18

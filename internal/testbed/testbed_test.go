@@ -29,8 +29,8 @@ func TestRosterMatchesPaper(t *testing.T) {
 func TestRoutineDevices(t *testing.T) {
 	tb := New()
 	rd := tb.RoutineDevices()
-	if len(rd) != RoutineDeviceCount {
-		t.Fatalf("routine devices = %d, want %d", len(rd), RoutineDeviceCount)
+	if len(rd) != 18 { // paper §3.2
+		t.Fatalf("routine devices = %d, want 18", len(rd))
 	}
 	for _, d := range rd {
 		if len(d.Activities) == 0 {
