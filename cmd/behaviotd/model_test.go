@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -27,6 +28,37 @@ func modelGens(t *testing.T, store string) []string {
 		}
 	}
 	return gens
+}
+
+// TestTrainedModelPins pins the bytes of the models the daemon trains:
+// the -sim recipe every sim tenant classifies with, and the idle-only
+// fixture of the in-process tests. A change that moves a pin updates it
+// and says why; one that only refactors training must leave both alone.
+func TestTrainedModelPins(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains the -sim model")
+	}
+	acfg, _, err := trainingInputs(options{sim: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := train(options{sim: true}, acfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pin := range []struct {
+		name string
+		snap []byte
+		sum  string
+		size int
+	}{
+		{"-sim", sim, "00894a3975bf72d9260bbd09ca0dda494d47506c54436014faf0ba93a4fc1aa9", 1957194},
+		{"idle fixture", fixturePipeline(t), "287f1e4644b3db540a8c89956482e832a5d7db7cbd5fbe6878eefc50a2d4cd9c", 236483},
+	} {
+		if got := fmt.Sprintf("%x", sha256.Sum256(pin.snap)); got != pin.sum || len(pin.snap) != pin.size {
+			t.Errorf("%s model: sha256 %s, %d bytes; want %s, %d bytes", pin.name, got, len(pin.snap), pin.sum, pin.size)
+		}
+	}
 }
 
 // TestModelStoreTrainsOnce pins the model store across launches of

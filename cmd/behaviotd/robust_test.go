@@ -30,15 +30,9 @@ import (
 func newTestHome(t *testing.T, storeRoot string, resume bool) (*fleet.Daemon, *feeder) {
 	t.Helper()
 	tb := testbed.New()
-	devices := []*testbed.DeviceProfile{tb.Device("TPLink Plug"), tb.Device("Gosund Bulb")}
-	idle := datasets.Idle(tb, 1, datasets.DefaultStart, 1, devices, 0)
-	pipe, err := core.Train(idle, map[string][]*flows.Flow{}, core.DefaultConfig())
-	if err != nil {
-		t.Fatalf("training fixture pipeline: %v", err)
-	}
 	d, err := fleet.New(fleet.Config{
 		Shards:       1,
-		PipeSnap:     core.MarshalPipeline(pipe),
+		PipeSnap:     fixturePipeline(t),
 		Fingerprint:  "behaviotd-test/v1",
 		AssemblerCfg: flows.Config{LocalPrefix: tb.LocalPrefix, DeviceByIP: tb.DeviceByIP()},
 		StoreRoot:    storeRoot,
@@ -53,6 +47,20 @@ func newTestHome(t *testing.T, storeRoot string, resume bool) (*fleet.Daemon, *f
 		t.Fatal(err)
 	}
 	return d, &feeder{home: home, stop: make(chan struct{})}
+}
+
+// fixturePipeline trains newTestHome's model: periodic models only,
+// from one idle day of a TPLink Plug and a Gosund Bulb.
+func fixturePipeline(t *testing.T) []byte {
+	t.Helper()
+	tb := testbed.New()
+	devices := []*testbed.DeviceProfile{tb.Device("TPLink Plug"), tb.Device("Gosund Bulb")}
+	idle := datasets.Idle(tb, 1, datasets.DefaultStart, 1, devices, 0)
+	pipe, err := core.Train(idle, map[string][]*flows.Flow{}, core.DefaultConfig())
+	if err != nil {
+		t.Fatalf("training fixture pipeline: %v", err)
+	}
+	return core.MarshalPipeline(pipe)
 }
 
 // writeCorruptedCapture generates a synthetic capture, damages ~rate of

@@ -1,10 +1,9 @@
 // Package backoff is the one retry-pacing policy the whole tree
 // shares: exponential growth from a base delay, a hard cap, and
 // deterministic multiplicative jitter. The fleet shard housekeeper
-// paces checkpoint retries with it, the single-tenant behaviotd
-// checkpoint path reuses the exact same policy, and fleetcat spaces
-// its dial/send reconnect attempts with it — so "how fast do we hammer
-// a struggling disk or daemon" is defined in one place.
+// paces checkpoint retries with it and fleetcat spaces its dial/send
+// reconnect attempts with it — so "how fast do we hammer a struggling
+// disk or daemon" is defined in one place.
 //
 // Jitter is deterministic: the delay is a pure function of (policy,
 // attempt, seed). Callers derive the seed from a stable identity (a
@@ -17,69 +16,49 @@ import (
 	"time"
 )
 
-// Defaults used when a Policy field is zero.
+// DefaultBase is the first delay of the zero Policy.
+const DefaultBase = 500 * time.Millisecond
+
+// The cap on a grown delay, and the jitter that spreads each delay
+// uniformly over [1-jitter, 1+jitter) times its nominal value.
 const (
-	DefaultBase   = 500 * time.Millisecond
-	DefaultMax    = 30 * time.Second
-	DefaultJitter = 0.25
+	maxDelay = 30 * time.Second
+	jitter   = 0.25
 )
 
-// Policy is an exponential backoff schedule. The zero value is usable
-// and means 500ms base, 30s cap, ±25% jitter.
+// Policy is an exponential backoff schedule: Base doubling per attempt
+// up to a 30s cap, with ±25% jitter. The zero value means a 500ms base.
 type Policy struct {
 	// Base is the nominal first delay (attempt 1).
 	Base time.Duration
-	// Max caps the grown delay before jitter is applied.
-	Max time.Duration
-	// JitterFrac spreads each delay uniformly over
-	// [1-JitterFrac, 1+JitterFrac) times the nominal value. Negative
-	// disables jitter entirely (exact exponential steps, for tests).
-	JitterFrac float64
-}
-
-func (p Policy) withDefaults() Policy {
-	if p.Base <= 0 {
-		p.Base = DefaultBase
-	}
-	if p.Max <= 0 {
-		p.Max = DefaultMax
-	}
-	//lint:ignore floateq exact zero means the jitter knob is unset
-	if p.JitterFrac == 0 {
-		p.JitterFrac = DefaultJitter
-	}
-	if p.JitterFrac < 0 {
-		p.JitterFrac = 0
-	}
-	return p
 }
 
 // Delay returns the pause before retry number attempt (1-based: the
 // first retry after the first failure is attempt 1). Growth is
-// Base·2^(attempt-1) capped at Max, then scaled by the deterministic
+// Base·2^(attempt-1) capped at 30s, then scaled by the deterministic
 // jitter drawn from (seed, attempt). Attempts below 1 are treated as 1.
 func (p Policy) Delay(attempt int, seed uint64) time.Duration {
-	p = p.withDefaults()
+	d := p.Base
+	if d <= 0 {
+		d = DefaultBase
+	}
 	if attempt < 1 {
 		attempt = 1
 	}
-	d := p.Base
 	for i := 1; i < attempt; i++ {
 		d *= 2
-		if d >= p.Max || d < 0 { // d<0: duration overflow
-			d = p.Max
+		if d >= maxDelay || d < 0 { // d<0: duration overflow
+			d = maxDelay
 			break
 		}
 	}
-	if d > p.Max {
-		d = p.Max
+	if d > maxDelay {
+		d = maxDelay
 	}
-	if p.JitterFrac > 0 {
-		// splitmix64 over (seed, attempt): uniform in [0,1), cheap, and
-		// stable across runs and platforms.
-		u := float64(splitmix64(seed^uint64(attempt)*0x9E3779B97F4A7C15)>>11) / (1 << 53)
-		d = time.Duration(float64(d) * (1 - p.JitterFrac + 2*p.JitterFrac*u))
-	}
+	// splitmix64 over (seed, attempt): uniform in [0,1), cheap, and
+	// stable across runs and platforms.
+	u := float64(splitmix64(seed^uint64(attempt)*0x9E3779B97F4A7C15)>>11) / (1 << 53)
+	d = time.Duration(float64(d) * (1 - jitter + 2*jitter*u))
 	if d < time.Millisecond {
 		d = time.Millisecond
 	}
@@ -87,7 +66,8 @@ func (p Policy) Delay(attempt int, seed uint64) time.Duration {
 }
 
 // Seed derives a stable jitter seed from an identity string (FNV-1a),
-// so retriers named differently pace differently.
+// so retriers named differently pace differently. The fleet also places
+// tenants by it (fleet.shardOf).
 func Seed(id string) uint64 {
 	const (
 		offset64 = 14695981039346656037

@@ -5,29 +5,40 @@ import (
 	"time"
 )
 
+// within reports whether d lies in the ±25% jitter band around nominal.
+func within(d, nominal time.Duration) bool {
+	lo := time.Duration(float64(nominal) * (1 - jitter))
+	hi := time.Duration(float64(nominal) * (1 + jitter))
+	return d >= lo && d < hi
+}
+
 func TestDelayGrowthAndCap(t *testing.T) {
-	p := Policy{Base: 100 * time.Millisecond, Max: time.Second, JitterFrac: -1}
-	want := []time.Duration{
-		100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond,
-		800 * time.Millisecond, time.Second, time.Second,
-	}
-	for i, w := range want {
-		if got := p.Delay(i+1, 0); got != w {
-			t.Errorf("attempt %d: delay = %v, want %v", i+1, got, w)
+	p := Policy{Base: 100 * time.Millisecond}
+	nominal := 100 * time.Millisecond
+	for attempt := 1; attempt <= 12; attempt++ {
+		for seed := uint64(0); seed < 16; seed++ {
+			if d := p.Delay(attempt, seed); !within(d, nominal) {
+				t.Errorf("attempt %d seed %d: delay %v outside ±25%% of %v", attempt, seed, d, nominal)
+			}
+		}
+		if nominal *= 2; nominal > maxDelay {
+			nominal = maxDelay
 		}
 	}
 	// Deep attempts must not overflow into negative durations.
-	if got := p.Delay(200, 0); got != time.Second {
-		t.Errorf("attempt 200: delay = %v, want the %v cap", got, time.Second)
+	for seed := uint64(0); seed < 16; seed++ {
+		if d := p.Delay(200, seed); !within(d, maxDelay) {
+			t.Errorf("attempt 200 seed %d: delay %v outside ±25%% of the %v cap", seed, d, maxDelay)
+		}
 	}
 }
 
 func TestDelayJitterBoundsAndDeterminism(t *testing.T) {
-	p := Policy{Base: time.Second, Max: time.Minute, JitterFrac: 0.25}
+	p := Policy{Base: time.Second}
 	seen := map[time.Duration]bool{}
 	for seed := uint64(0); seed < 64; seed++ {
 		d := p.Delay(1, seed)
-		if d < 750*time.Millisecond || d >= 1250*time.Millisecond {
+		if !within(d, time.Second) {
 			t.Errorf("seed %d: delay %v outside ±25%% of 1s", seed, d)
 		}
 		if d2 := p.Delay(1, seed); d2 != d {
@@ -42,11 +53,8 @@ func TestDelayJitterBoundsAndDeterminism(t *testing.T) {
 
 func TestZeroPolicyUsesDefaults(t *testing.T) {
 	var p Policy
-	d := p.Delay(1, Seed("tenant-a"))
-	lo := time.Duration(float64(DefaultBase) * (1 - DefaultJitter))
-	hi := time.Duration(float64(DefaultBase) * (1 + DefaultJitter))
-	if d < lo || d >= hi {
-		t.Errorf("zero-policy first delay %v outside [%v,%v)", d, lo, hi)
+	if d := p.Delay(1, Seed("tenant-a")); !within(d, DefaultBase) {
+		t.Errorf("zero-policy first delay %v outside ±25%% of %v", d, DefaultBase)
 	}
 	if Seed("tenant-a") == Seed("tenant-b") {
 		t.Error("distinct identities produced the same jitter seed")
@@ -54,11 +62,10 @@ func TestZeroPolicyUsesDefaults(t *testing.T) {
 }
 
 func TestAttemptFloor(t *testing.T) {
-	p := Policy{Base: 10 * time.Millisecond, Max: time.Second, JitterFrac: -1}
-	if got := p.Delay(0, 1); got != 10*time.Millisecond {
-		t.Errorf("attempt 0 = %v, want the base delay", got)
-	}
-	if got := p.Delay(-5, 1); got != 10*time.Millisecond {
-		t.Errorf("attempt -5 = %v, want the base delay", got)
+	p := Policy{Base: 10 * time.Millisecond}
+	for _, attempt := range []int{0, -5} {
+		if got, want := p.Delay(attempt, 1), p.Delay(1, 1); got != want {
+			t.Errorf("attempt %d = %v, want attempt 1's %v", attempt, got, want)
+		}
 	}
 }

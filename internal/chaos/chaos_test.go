@@ -286,7 +286,10 @@ func TestParseConfigRoundTrip(t *testing.T) {
 	if c, err := ParseConfig(""); err != nil || c != (Config{}) {
 		t.Errorf("empty spec: cfg=%+v err=%v", c, err)
 	}
-	for _, bad := range []string{"drop=2", "drop=-0.1", "nonsense=1", "drop", "window=0", "skew=fast"} {
+	for _, bad := range []string{
+		"drop=2", "drop=-0.1", "drop=NaN", "nonsense=1", "drop", "window=0", "skew=fast",
+		"drift=NaN", "drift=Inf", "drift=-Inf", "drift=-1e6", "drift=-2e6",
+	} {
 		if _, err := ParseConfig(bad); err == nil {
 			t.Errorf("ParseConfig(%q) accepted garbage", bad)
 		}

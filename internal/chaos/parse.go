@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -15,8 +16,9 @@ import (
 //	skew=50ms,drift=200
 //
 // Rates are probabilities in [0,1], skew is a Go duration (may be
-// negative), drift is in parts-per-million. Unknown keys and
-// out-of-range rates are errors; an empty spec is the identity Config.
+// negative), drift is a finite parts-per-million value above -1e6 (at
+// -1e6 the clock stops, below it runs backwards). Unknown keys and
+// out-of-range values are errors; an empty spec is the identity Config.
 func ParseConfig(s string) (Config, error) {
 	var cfg Config
 	s = strings.TrimSpace(s)
@@ -33,7 +35,7 @@ func ParseConfig(s string) (Config, error) {
 		switch key {
 		case "drop", "dup", "duplicate", "reorder", "truncate", "corrupt", "burst":
 			rate, err := strconv.ParseFloat(val, 64)
-			if err != nil || rate < 0 || rate > 1 {
+			if err != nil || !(rate >= 0 && rate <= 1) { // NaN fails both
 				return cfg, fmt.Errorf("chaos: %s rate %q is not a probability in [0,1]", key, val)
 			}
 			switch key {
@@ -73,6 +75,9 @@ func ParseConfig(s string) (Config, error) {
 			ppm, err := strconv.ParseFloat(val, 64)
 			if err != nil {
 				return cfg, fmt.Errorf("chaos: drift %q is not a PPM value: %v", val, err)
+			}
+			if math.IsNaN(ppm) || math.IsInf(ppm, 0) || ppm <= -1e6 {
+				return cfg, fmt.Errorf("chaos: drift %q is not a finite PPM value above -1e6", val)
 			}
 			cfg.DriftPPM = ppm
 		default:

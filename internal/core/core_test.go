@@ -400,6 +400,28 @@ func TestPeriodicNoDeviationOnCleanIdle(t *testing.T) {
 	}
 }
 
+// TestPeriodicScanLeavesPipelineUnwritten pins that a periodic-deviation
+// scan only reads the pipeline: on a PFSM that is trained but not
+// calibrated, the scan must not install a zero baseline that
+// ShortTermDeviations would then score every trace against.
+func TestPeriodicScanLeavesPipelineUnwritten(t *testing.T) {
+	fx := getFixture(t)
+	p := &Pipeline{Periodic: fx.pipe.Periodic.Fork(), UserAction: fx.pipe.UserAction, TraceGap: fx.pipe.TraceGap}
+	events := p.Classify(fx.routine.Flows)
+	traces := p.TrainSystem(events, pfsm.Options{})
+	snap := MarshalPipeline(p)
+	p.PeriodicDeviations(events, fx.routine.End)
+	if p.Baseline != nil {
+		t.Errorf("the scan installed a baseline: %+v", *p.Baseline)
+	}
+	if got := MarshalPipeline(p); string(got) != string(snap) {
+		t.Error("the scan changed what MarshalPipeline emits")
+	}
+	if devs := p.ShortTermDeviations(traces, fx.routine.End); len(devs) != 0 {
+		t.Errorf("uncalibrated pipeline flagged %d of %d traces after a periodic scan", len(devs), len(traces))
+	}
+}
+
 func TestDeviationKindString(t *testing.T) {
 	if DevPeriodic.String() != "periodic-event" ||
 		DevShortTerm.String() != "short-term" ||

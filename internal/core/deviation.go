@@ -80,6 +80,16 @@ type Baseline struct {
 	PeriodicThreshold float64
 }
 
+// PeriodicThreshold returns the M_p significance bound: the calibrated
+// baseline's, or DefaultPeriodicThreshold before Calibrate has run. It
+// only reads p, so shared pipelines may call it concurrently.
+func (p *Pipeline) PeriodicThreshold() float64 {
+	if p.Baseline != nil {
+		return p.Baseline.PeriodicThreshold
+	}
+	return DefaultPeriodicThreshold
+}
+
 // ShortTermThreshold returns ρ = μ + nσ.
 func (b *Baseline) ShortTermThreshold() float64 {
 	return b.ShortTermMean + b.ShortTermSigmas*b.ShortTermStd
@@ -137,9 +147,7 @@ func (p *Pipeline) PeriodicDeviations(events []Event, windowEnd time.Time) []Dev
 // the first event of a group in this window is measured against the
 // group's last event from previous windows.
 func (p *Pipeline) PeriodicDeviationsStateful(events []Event, windowEnd time.Time, state *PeriodicScanState) []Deviation {
-	if p.Baseline == nil {
-		p.Baseline = &Baseline{PeriodicThreshold: DefaultPeriodicThreshold, LongTermZ: 1.96, ShortTermSigmas: 3}
-	}
+	threshold := p.PeriodicThreshold()
 	if state.Last == nil {
 		state.Last = map[flows.GroupKey]time.Time{}
 	}
@@ -160,7 +168,7 @@ func (p *Pipeline) PeriodicDeviationsStateful(events []Event, windowEnd time.Tim
 		if prev, seen := last[key]; seen {
 			elapsed := e.Time.Sub(prev).Seconds()
 			score := PeriodicDeviationMetric(elapsed, m.Period)
-			if score > p.Baseline.PeriodicThreshold && !state.alarmed[key] {
+			if score > threshold && !state.alarmed[key] {
 				out = append(out, Deviation{
 					Kind: DevPeriodic, Time: e.Time, Score: score,
 					Device: e.Device, Detail: m.String(),
@@ -186,7 +194,7 @@ func (p *Pipeline) PeriodicDeviationsStateful(events []Event, windowEnd time.Tim
 			continue
 		}
 		score := PeriodicDeviationMetric(elapsed, m.Period)
-		if score > p.Baseline.PeriodicThreshold && !state.alarmed[key] {
+		if score > threshold && !state.alarmed[key] {
 			out = append(out, Deviation{
 				Kind: DevPeriodic, Time: windowEnd, Score: score,
 				Device: key.Device, Detail: m.String() + " (silent)",

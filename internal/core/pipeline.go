@@ -25,7 +25,6 @@ type Pipeline struct {
 type Config struct {
 	Periodic   PeriodicConfig
 	UserAction UserActionConfig
-	PFSM       pfsm.Options
 	TraceGap   time.Duration
 }
 
@@ -36,7 +35,6 @@ func DefaultConfig() Config {
 	return Config{
 		Periodic:   DefaultPeriodicConfig(),
 		UserAction: DefaultUserActionConfig(),
-		PFSM:       pfsm.Options{},
 		TraceGap:   time.Minute,
 	}
 }

@@ -202,9 +202,6 @@ type RoutineConfig struct {
 	// DirectPerDay is the number of additional direct interactions per
 	// day (default 5).
 	DirectPerDay int
-	// IncludeBackground adds the routine devices' periodic traffic
-	// (default true via !OmitBackground).
-	OmitBackground bool
 	// Workers bounds generation concurrency (0 = all cores). Output is
 	// byte-identical for every value.
 	Workers int
@@ -243,11 +240,7 @@ func Routine(tb *testbed.Testbed, seed int64, start time.Time, cfg RoutineConfig
 	end := start.Add(time.Duration(cfg.Days) * 24 * time.Hour)
 
 	devices := tb.RoutineDevices()
-	bgEnd := end
-	if cfg.OmitBackground {
-		bgEnd = start // bootstrap only
-	}
-	streams := backgroundStreams(g, devices, start.Add(-time.Minute), start, bgEnd, cfg.Workers)
+	streams := backgroundStreams(g, devices, start.Add(-time.Minute), start, end, cfg.Workers)
 
 	ds := &RoutineDataset{Start: start, End: end}
 	days := make([]int, cfg.Days)

@@ -45,13 +45,14 @@ type Incident struct {
 	StartHour, EndHour float64
 }
 
+// interactionsPerDay is the mean number of participant-triggered traces
+// per day of the uncontrolled dataset.
+const interactionsPerDay = 8
+
 // UncontrolledConfig tunes the 87-day uncontrolled dataset.
 type UncontrolledConfig struct {
 	// Days is the study length (default 87).
 	Days int
-	// InteractionsPerDay is the mean number of participant-triggered
-	// traces per day (default 8).
-	InteractionsPerDay int
 	// Seed drives all randomness.
 	Seed int64
 	// Workers bounds generation concurrency (0 = all cores). Output is
@@ -62,9 +63,6 @@ type UncontrolledConfig struct {
 func (c UncontrolledConfig) withDefaults() UncontrolledConfig {
 	if c.Days <= 0 {
 		c.Days = 87
-	}
-	if c.InteractionsPerDay <= 0 {
-		c.InteractionsPerDay = 8
 	}
 	return c
 }
@@ -152,7 +150,7 @@ func UncontrolledDay(tb *testbed.Testbed, cfg UncontrolledConfig, incidents []In
 
 	// Participant interactions: routine executions and direct actions.
 	devices := tb.RoutineDevices()
-	n := cfg.InteractionsPerDay/2 + rng.Intn(cfg.InteractionsPerDay)
+	n := interactionsPerDay/2 + rng.Intn(interactionsPerDay)
 	times := spacedTimes(rng, dayStart.Add(7*time.Hour), 15*time.Hour, n, 3*time.Minute)
 	rep := day * 1000
 	for _, at := range times {

@@ -1,21 +1,42 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 
 	"behaviot/internal/core"
 )
 
-// quickLab is shared across tests (building it trains the full pipeline).
-var quickLab *Lab
+// quickLab is shared across tests (building it trains the full
+// pipeline). quickLabModel is that pipeline's snapshot as trained,
+// taken before any test classifies with it: classifying moves the timer
+// anchors the snapshot carries.
+var (
+	quickLab      *Lab
+	quickLabModel []byte
+)
 
 func getLab(t *testing.T) *Lab {
 	t.Helper()
 	if quickLab == nil {
 		quickLab = NewLab(QuickScale())
+		quickLabModel = core.MarshalPipeline(quickLab.Pipeline())
 	}
 	return quickLab
+}
+
+// TestQuickLabModelPin pins the bytes of the quick-scale lab's trained
+// pipeline, the model every quick experiment reports on. A change that
+// moves the pin updates it and says why; one that only refactors
+// training must leave it alone.
+func TestQuickLabModelPin(t *testing.T) {
+	getLab(t)
+	const want, size = "293fc3affea3dc3d74d4f3162fca1366644b170572ffae112c755be0ad9f7e21", 3031950
+	if got := fmt.Sprintf("%x", sha256.Sum256(quickLabModel)); got != want || len(quickLabModel) != size {
+		t.Errorf("quick lab model: sha256 %s, %d bytes; want %s, %d bytes", got, len(quickLabModel), want, size)
+	}
 }
 
 func TestPeriodicityExperiment(t *testing.T) {

@@ -45,7 +45,7 @@ func Table3(l *Lab) *Table3Result {
 			}
 		}
 	}
-	pp := pingpong.Train(training, pingpong.Config{})
+	pp := pingpong.Train(training)
 	pipe := l.Pipeline()
 
 	// Both classifiers are read-only after training, so the held-out

@@ -19,7 +19,9 @@ import (
 // byte prefix of the faulted write, enospc is the disk-full byte
 // budget, path narrows every rule to matching paths, and match=1
 // switches the fail knobs to count only matching operations
-// (Config.CountMatches). Unknown keys are errors; an empty spec is the
+// (Config.CountMatches). Unknown keys are errors, and so is a spec whose
+// modifiers (count, tear, path, match) have no fault to modify: it would
+// inject nothing while looking as if it did. An empty spec is the
 // identity Config.
 func ParseConfig(s string) (Config, error) {
 	var cfg Config
@@ -73,12 +75,17 @@ func ParseConfig(s string) (Config, error) {
 			return cfg, fmt.Errorf("faultfs: unknown fault key %q", key)
 		}
 	}
+	if len(cfg.Rules()) == 0 && cfg != (Config{}) {
+		return cfg, fmt.Errorf("faultfs: spec %q sets no failwrite, failsync, failrename or enospc fault", s)
+	}
+	if cfg.TearBytes > 0 && cfg.FailWriteNth == 0 {
+		return cfg, fmt.Errorf("faultfs: tear needs failwrite")
+	}
 	return cfg, nil
 }
 
 // String renders the Config back in ParseConfig syntax (only the
-// active knobs), for logs. The Err override has no spec syntax and is
-// omitted.
+// active knobs), for logs.
 func (c Config) String() string {
 	var parts []string
 	addInt := func(k string, v int64) {

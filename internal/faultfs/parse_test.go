@@ -86,6 +86,7 @@ func TestParseConfigRejects(t *testing.T) {
 		"bogus=1", "failwrite=0", "failwrite=-2", "failwrite=x",
 		"tear=0", "count=0", "enospc=0", "path=", "match=perhaps",
 		"failwrite", "=3",
+		"count=2", "tear=5", "path=.delta", "match=1", "failsync=1,tear=5",
 	} {
 		if cfg, err := ParseConfig(spec); err == nil {
 			t.Errorf("ParseConfig(%q) accepted: %+v", spec, cfg)

@@ -177,9 +177,6 @@ type Config struct {
 	// first delta-payload write" is CountMatches + PathContains
 	// ".delta" + FailWriteNth 1.
 	CountMatches bool
-	// Err overrides the injected error for the FailNth rules
-	// (default EIO).
-	Err error
 }
 
 // failRule materializes one FailNth knob, honoring CountMatches.
@@ -187,12 +184,12 @@ func (c Config) failRule(kind OpKind, nth int64, tear int) Rule {
 	if c.CountMatches {
 		return &FailMatch{
 			Kind: kind, Nth: nth, Count: c.FailCount,
-			PathContains: c.PathContains, Err: c.Err, Tear: tear,
+			PathContains: c.PathContains, Tear: tear,
 		}
 	}
 	return FailOp{
 		Kind: kind, Nth: nth, Count: c.FailCount,
-		PathContains: c.PathContains, Err: c.Err, Tear: tear,
+		PathContains: c.PathContains, Tear: tear,
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"behaviot/internal/backoff"
 	"behaviot/internal/faultfs"
 	"behaviot/internal/modelstore"
 )
@@ -228,12 +227,11 @@ func TestFaultSoakPanicIsolation(t *testing.T) {
 }
 
 // TestFaultSoakCrashLoopBudget pins the restart ceiling: a tenant that
-// keeps panicking is restartable only CrashLoopBudget times; the next
+// keeps panicking is restartable only crashLoopBudget times; the next
 // restart is refused with 409 and the tenant stays quarantined.
 func TestFaultSoakCrashLoopBudget(t *testing.T) {
 	fx := getFixture(t)
 	cfg := baseConfig(t, fx, 1, soakDir(t))
-	cfg.CrashLoopBudget = 2
 	var armed atomic.Bool
 	cfg.PanicProbe = func(string) {
 		if armed.Load() {
@@ -264,7 +262,7 @@ func TestFaultSoakCrashLoopBudget(t *testing.T) {
 	}
 
 	crash(tn)
-	for i := 0; i < int(cfg.CrashLoopBudget); i++ {
+	for i := 0; i < crashLoopBudget; i++ {
 		resp, body := doJSON(t, http.MethodPost, ts.URL+"/tenants/loop-1/restart", nil)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("restart %d = %d: %s", i+1, resp.StatusCode, body)
@@ -283,8 +281,8 @@ func TestFaultSoakCrashLoopBudget(t *testing.T) {
 // TestFaultSoakCheckpointRetry drives the Degraded arc end to end with
 // injected storage faults: a transient checkpoint failure degrades the
 // tenant and fires the failure counter and checkpoint-age alarm on
-// /metrics; once the fault clears, the housekeeper's backoff-paced
-// retry lands a durable checkpoint, health returns to Healthy, and the
+// /metrics; once the fault clears, the housekeeper's next interval
+// tick lands a durable checkpoint, health returns to Healthy, and the
 // store's CRC manifest walk shows no lost generations.
 func TestFaultSoakCheckpointRetry(t *testing.T) {
 	fx := getFixture(t)
@@ -293,8 +291,6 @@ func TestFaultSoakCheckpointRetry(t *testing.T) {
 	cfg := baseConfig(t, fx, 2, soakDir(t))
 	cfg.StoreFS = inj
 	cfg.CheckpointInterval = 50 * time.Millisecond
-	cfg.CheckpointAgeAlarm = 250 * time.Millisecond
-	cfg.CheckpointBackoff = backoff.Policy{Base: 25 * time.Millisecond, Max: 100 * time.Millisecond}
 	d, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -351,7 +347,7 @@ func TestFaultSoakCheckpointRetry(t *testing.T) {
 		t.Errorf("/healthz during fault = %s, want degraded", body)
 	}
 
-	// Fault clears; the backoff-paced retry lands a checkpoint and the
+	// Fault clears; the next interval tick lands a checkpoint and the
 	// tenant recovers without operator action.
 	inj.SetRules()
 	waitFor(t, "retry to land a durable checkpoint", func() bool {

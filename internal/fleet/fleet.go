@@ -1,3 +1,20 @@
+// Package fleet turns the single-deployment behaviotd pipeline into a
+// multi-tenant daemon: one process hosts many independent smart homes
+// ("tenants"), each with its own online monitor, recent-event rings,
+// event log, and crash-safe checkpoint store, all classifying over one
+// shared read-only trained model — the ISP-scale deployment the
+// ROADMAP's north star calls for.
+//
+// Tenants are placed on a fixed set of shards by FNV-1a of the tenant
+// ID modulo the shard count. A shard is a serialization domain: every
+// ingest connection feeds its tenant's monitor under the shard's lock,
+// so feed concurrency is bounded by the shard count regardless of how
+// many tenants are registered, and each shard runs one housekeeping
+// worker that lands periodic checkpoints for its tenants. Per-tenant
+// state never crosses a shard boundary, which is what makes the fleet
+// isolation oracle hold: N tenants replaying concurrently produce
+// byte-identical event logs and snapshots to N single-tenant runs, for
+// any shard count.
 package fleet
 
 import (
@@ -9,7 +26,6 @@ import (
 	"sync"
 	"time"
 
-	"behaviot/internal/backoff"
 	"behaviot/internal/core"
 	"behaviot/internal/faultfs"
 	"behaviot/internal/flows"
@@ -33,9 +49,8 @@ type Config struct {
 	Fingerprint string
 	// AssemblerCfg configures each tenant's flow assembler.
 	AssemblerCfg flows.Config
-	// StreamCfg is the monitor configuration template (FlushAfter,
-	// MaxSkew, ...). OnEvent/OnDeviation/RecycleFlows are overridden
-	// per tenant.
+	// StreamCfg is the monitor configuration template (MaxSkew).
+	// OnEvent/OnDeviation/RecycleFlows are overridden per tenant.
 	StreamCfg stream.Config
 	// StoreRoot, when set, enables crash-safe checkpoints under
 	// StoreRoot/tenants/<id>/ (modelstore.OpenTenant).
@@ -64,21 +79,6 @@ type Config struct {
 	// predecessor. Values <= 1 (the default) keep the pre-delta
 	// behavior: every checkpoint is a full snapshot.
 	StoreFullEvery int
-	// CheckpointBackoff paces checkpoint retries after a failure. The
-	// zero policy means 500ms base, 30s cap, ±25% jitter (seeded per
-	// tenant ID, so a fleet degraded by one full disk does not
-	// stampede it in lockstep).
-	CheckpointBackoff backoff.Policy
-	// CheckpointAgeAlarm is how stale a tenant's newest durable
-	// checkpoint may grow before the checkpoint-age alarm fires on
-	// /metrics and /tenants/{id}/status. Default: 3×CheckpointInterval
-	// (when periodic checkpointing is on).
-	CheckpointAgeAlarm time.Duration
-	// CrashLoopBudget bounds restarts of a panicking tenant: once its
-	// cumulative panic count (carried across restart incarnations)
-	// exceeds the budget, Restart refuses with ErrCrashLoop and the
-	// tenant stays quarantined. Default 3.
-	CrashLoopBudget int
 	// PanicProbe, when set, runs inside every tenant's Ingest boundary
 	// (under the shard lock, before the batch reaches the monitor)
 	// with the tenant's ID. It exists for fault injection: a probe
@@ -91,17 +91,17 @@ func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = runtime.GOMAXPROCS(0)
 	}
-	if c.CheckpointAgeAlarm <= 0 && c.CheckpointInterval > 0 {
-		c.CheckpointAgeAlarm = 3 * c.CheckpointInterval
-	}
-	if c.CrashLoopBudget <= 0 {
-		c.CrashLoopBudget = 3
-	}
 	return c
 }
 
+// crashLoopBudget bounds restarts of a panicking tenant: once its
+// cumulative panic count (carried across restart incarnations) exceeds
+// it, Restart refuses with ErrCrashLoop and the tenant stays
+// quarantined.
+const crashLoopBudget = 3
+
 // Daemon hosts many tenant deployments behind one process: a registry
-// of tenants placed on shards by a consistent hash ring, an SSE feed
+// of tenants placed on shards by tenant-ID hash, an SSE feed
 // hub, and per-shard housekeeping workers. Ingest sources reach
 // tenants through Authenticate + Tenant.Ingest (the listener front
 // end does exactly that); operators reach them through the REST
@@ -109,7 +109,6 @@ func (c Config) withDefaults() Config {
 type Daemon struct {
 	cfg    Config
 	pipe   *core.Pipeline // the trained model every tenant shares; never written
-	ring   *Ring
 	shards []*shard
 
 	mu      sync.RWMutex // guards tenants, pending, closed
@@ -144,7 +143,6 @@ func New(cfg Config) (*Daemon, error) {
 	d := &Daemon{
 		cfg:     cfg,
 		pipe:    pipe,
-		ring:    NewRing(cfg.Shards),
 		tenants: map[string]*Tenant{},
 		pending: map[string]struct{}{},
 		feed:    newFeedHub(),

@@ -137,13 +137,12 @@ func (t *Tenant) checkpointAge() time.Duration {
 }
 
 // checkpointAgeAlarm reports whether the tenant has gone longer than
-// the configured alarm threshold without a durable checkpoint — the
+// three checkpoint intervals without a durable checkpoint — the
 // ROADMAP's checkpoint-age alarm. Only meaningful for stores with
 // periodic checkpointing enabled.
 func (t *Tenant) checkpointAgeAlarm() bool {
-	return t.store != nil && t.d.cfg.CheckpointAgeAlarm > 0 &&
-		t.d.cfg.CheckpointInterval > 0 &&
-		t.checkpointAge() > t.d.cfg.CheckpointAgeAlarm
+	return t.store != nil && t.d.cfg.CheckpointInterval > 0 &&
+		t.checkpointAge() > 3*t.d.cfg.CheckpointInterval
 }
 
 // healthCounts tallies the degraded and quarantined tenants among

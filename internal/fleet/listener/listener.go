@@ -63,11 +63,6 @@ type Server struct {
 	// HelloTimeout is the read deadline covering the unauthenticated
 	// hello exchange; zero means DefaultHelloTimeout. Set before Serve.
 	HelloTimeout time.Duration
-	// IdleTimeout, when positive, is re-armed before every batch read
-	// after authentication: a source that goes silent longer is cut
-	// off. Zero (the default) means no idle limit — a quiet home
-	// legitimately sends nothing for long stretches. Set before Serve.
-	IdleTimeout time.Duration
 
 	d *fleet.Daemon
 
@@ -191,16 +186,13 @@ func (s *Server) handleConn(c net.Conn) {
 	if !writeLine(c, "OK") {
 		return
 	}
-	// Authenticated: drop the hello deadline. Each batch read below
-	// re-arms the optional idle deadline instead.
+	// Authenticated: drop the hello deadline. There is no idle limit: a
+	// quiet home legitimately sends nothing for long stretches.
 	c.SetReadDeadline(time.Time{}) //lint:ignore errcheck symmetric with the arm above
 
 	src := source{br: br, t: t}
 	var consumed int64
 	for {
-		if s.IdleTimeout > 0 {
-			c.SetReadDeadline(time.Now().Add(s.IdleTimeout)) //lint:ignore errcheck best-effort idle guard
-		}
 		n, err := src.ingestBuffered()
 		consumed += int64(n)
 		var badLen recordLenError

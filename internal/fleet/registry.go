@@ -9,6 +9,7 @@ import (
 	"io"
 	"strings"
 
+	"behaviot/internal/backoff"
 	"behaviot/internal/modelstore"
 )
 
@@ -26,8 +27,15 @@ var (
 	errTenantFileForm = errors.New("fleet: tenants file line is not `id,token`")
 )
 
+// shardOf places a tenant: FNV-1a of its ID modulo the shard count.
+// No state lives per shard (stores, event logs and Restart key on the
+// tenant ID), so placement is free to differ between builds.
+func shardOf(id string, shards int) int {
+	return int(backoff.Seed(id) % uint64(shards))
+}
+
 // Add registers a new tenant under the given ingest token and places
-// it on its ring-assigned shard, live — no restart, no disturbance to
+// it on its shard (shardOf), live — no restart, no disturbance to
 // other tenants (pinned by the control-plane tests). The returned
 // tenant is already accepting ingest.
 func (d *Daemon) Add(id, token string) (*Tenant, error) {
@@ -70,8 +78,7 @@ func (d *Daemon) Add(id, token string) (*Tenant, error) {
 	// checkpoint and touches disk, and Add must not stall
 	// Authenticate/Get on the ingest path. The reservation makes the
 	// ID — and its store and event-log paths — exclusively ours.
-	shardIdx := d.ring.Lookup(id)
-	t, err := d.newTenant(id, token, shardIdx, d.cfg.Resume)
+	t, err := d.newTenant(id, token, shardOf(id, d.cfg.Shards), d.cfg.Resume)
 
 	d.mu.Lock()
 	delete(d.pending, id)
@@ -147,10 +154,10 @@ func (d *Daemon) Restart(id string) (*Tenant, error) {
 		d.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q", ErrTenantBusy, id)
 	}
-	if old.panics.Load() > int64(d.cfg.CrashLoopBudget) {
+	if old.panics.Load() > crashLoopBudget {
 		d.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q (%d panics, budget %d)",
-			ErrCrashLoop, id, old.panics.Load(), d.cfg.CrashLoopBudget)
+			ErrCrashLoop, id, old.panics.Load(), crashLoopBudget)
 	}
 	// Hold the ID reserved while the old incarnation drains and the
 	// new one is built: ingest and a concurrent Add both stay out.

@@ -57,7 +57,7 @@ func (t *Tenant) Checkpoint() {
 	if err != nil {
 		failures := t.ckptFailures.Add(1)
 		t.ckptFailuresTotal.Add(1)
-		delay := t.d.cfg.CheckpointBackoff.Delay(int(failures), backoff.Seed(t.ID))
+		delay := backoff.Policy{}.Delay(int(failures), backoff.Seed(t.ID))
 		t.ckptRetryAtUnix.Store(time.Now().Add(delay).UnixNano())
 		log.Printf("fleet: tenant %s checkpoint failed (attempt %d, retry in %v): %v",
 			t.ID, failures, delay.Round(time.Millisecond), err)

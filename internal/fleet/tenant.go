@@ -54,7 +54,7 @@ type Tenant struct {
 	// modelstore.ValidTenantID; it names filesystem directories and
 	// metric labels).
 	ID string
-	// Shard is the ring-assigned shard index.
+	// Shard is the tenant's shard index (shardOf).
 	Shard int
 
 	token string // per-source ingest auth token

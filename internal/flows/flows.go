@@ -2,7 +2,7 @@
 // event inference operates on (paper §4.1): a flow is the chronologically
 // ordered set of TCP segments / UDP datagrams sharing a 5-tuple, and a
 // flow burst is a consecutive chunk of a flow in which no two consecutive
-// packets are more than BurstGap apart (1 second, following AppScanner
+// packets are more than DefaultBurstGap apart (1 second, following AppScanner
 // [66] and HomoNit [76]). The assembler also performs the paper's flow
 // annotation: destination domain (from DNS answers, TLS SNI, or a
 // reverse-DNS fallback), protocol label, start time and duration.
@@ -88,8 +88,6 @@ func (f *Flow) Key() GroupKey {
 
 // Config controls the assembler.
 type Config struct {
-	// BurstGap is the intra-flow split threshold (default 1 s).
-	BurstGap time.Duration
 	// LocalPrefix identifies the home network; packets between two local
 	// addresses are "local" traffic for the Table 8 features.
 	LocalPrefix netip.Prefix
@@ -103,9 +101,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.BurstGap <= 0 {
-		c.BurstGap = DefaultBurstGap
-	}
 	if !c.LocalPrefix.IsValid() {
 		c.LocalPrefix = netip.MustParsePrefix("192.168.0.0/16")
 	}
@@ -219,7 +214,7 @@ func (a *Assembler) Add(p *netparse.Packet) {
 		Local: srcLocal && dstLocal,
 	}
 	f, ok := a.active[key]
-	if ok && p.Timestamp.Sub(f.End) > a.cfg.BurstGap {
+	if ok && p.Timestamp.Sub(f.End) > DefaultBurstGap {
 		// Burst boundary: close the previous burst and start a new one.
 		a.done = append(a.done, f)
 		ok = false
@@ -293,10 +288,10 @@ func (a *Assembler) Flows() []*Flow {
 func (a *Assembler) FlushClosed(now time.Time) []*Flow {
 	out := a.done
 	a.done = nil
-	if len(a.active) > 0 && now.Sub(a.earliest) > a.cfg.BurstGap {
+	if len(a.active) > 0 && now.Sub(a.earliest) > DefaultBurstGap {
 		var min time.Time
 		for k, f := range a.active {
-			if now.Sub(f.End) > a.cfg.BurstGap {
+			if now.Sub(f.End) > DefaultBurstGap {
 				out = append(out, f)
 				delete(a.active, k)
 				continue

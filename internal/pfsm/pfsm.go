@@ -57,7 +57,8 @@ type Model struct {
 	outTotals []int
 	// byLabel maps an event label to the states modeling it.
 	byLabel map[string][]int
-	// Alpha is the additive-smoothing constant used by TraceProb.
+	// Alpha is the additive-smoothing constant used by TraceProb: alpha
+	// for every inferred model, and whatever a decoded snapshot stored.
 	Alpha float64
 }
 
@@ -66,13 +67,15 @@ const (
 	terminalID = 1
 )
 
+// alpha is the additive-smoothing constant Infer gives every model:
+// 1, Laplace smoothing.
+const alpha = 1
+
 // Options tunes inference.
 type Options struct {
 	// MaxRefinements caps the number of partition splits (Synoptic
 	// likewise bounds refinement); 0 means the default of 100.
 	MaxRefinements int
-	// Alpha is the additive-smoothing constant (default 1, Laplace).
-	Alpha float64
 	// DisableRefinement skips invariant-guided splitting, yielding the
 	// pure label-partition model. Exposed for ablation.
 	DisableRefinement bool
@@ -81,9 +84,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxRefinements <= 0 {
 		o.MaxRefinements = 100
-	}
-	if o.Alpha <= 0 {
-		o.Alpha = 1
 	}
 	return o
 }
@@ -126,11 +126,11 @@ func Infer(traces []Trace, opts Options) *Model {
 		refine(traces, partition, partLabel, &nextPart, inv, opts.MaxRefinements)
 	}
 
-	return buildModel(traces, partition, partLabel, nextPart, opts.Alpha)
+	return buildModel(traces, partition, partLabel, nextPart)
 }
 
 // buildModel constructs the final Model from a partition assignment.
-func buildModel(traces []Trace, partition [][]int, partLabel map[int]string, numParts int, alpha float64) *Model {
+func buildModel(traces []Trace, partition [][]int, partLabel map[int]string, numParts int) *Model {
 	// Compact partition ids: some may be empty after splits.
 	used := make([]bool, numParts)
 	used[initialID], used[terminalID] = true, true

@@ -8,8 +8,9 @@
 // The reimplementation follows the published pipeline at flow granularity:
 //
 //   - Training clusters the (outbound, inbound) packet-length pairs that
-//     occur in most positive flows of an event into signature pairs, with
-//     a small length tolerance (PingPong's range-based matching).
+//     occur in most positive flows of an event into signature pairs, each
+//     matching the length range its cluster spans (PingPong's range-based
+//     matching).
 //   - Matching requires every signature pair to appear as consecutive
 //     packets in the candidate flow, in order.
 //
@@ -49,28 +50,14 @@ type Signature struct {
 	Pairs []Pair
 }
 
-// Config tunes signature extraction.
-type Config struct {
-	// MinSupport is the fraction of training flows a pair must appear in
-	// to join the signature (default 0.75, PingPong's core-pair notion).
-	MinSupport float64
-	// Tolerance widens each length range by ±Tolerance bytes (PingPong
-	// uses range-based matching to absorb small length variation;
-	// default 0 keeps exact observed ranges).
-	Tolerance int
-	// MaxPairs caps signature length (default 4).
-	MaxPairs int
-}
-
-func (c Config) withDefaults() Config {
-	if c.MinSupport <= 0 {
-		c.MinSupport = 0.75
-	}
-	if c.MaxPairs <= 0 {
-		c.MaxPairs = 4
-	}
-	return c
-}
+// Signature extraction parameters.
+const (
+	// minSupport is the fraction of training flows a pair must appear in
+	// to join the signature (PingPong's core-pair notion).
+	minSupport = 0.75
+	// maxPairs caps signature length.
+	maxPairs = 4
+)
 
 // rawPair is an observed consecutive packet pair.
 type rawPair struct {
@@ -105,8 +92,7 @@ const clusterGap = 5
 // Extract builds a signature for one event from its training flows.
 // It returns ok=false when no packet-pair cluster reaches the support
 // threshold (the event is not PingPong-detectable).
-func Extract(event string, training []*flows.Flow, cfg Config) (Signature, bool) {
-	cfg = cfg.withDefaults()
+func Extract(event string, training []*flows.Flow) (Signature, bool) {
 	if len(training) == 0 {
 		return Signature{Event: event}, false
 	}
@@ -123,7 +109,7 @@ func Extract(event string, training []*flows.Flow, cfg Config) (Signature, bool)
 			byKind[rp.kind] = append(byKind[rp.kind], obs{flow: fi, pos: i, first: rp.first, second: rp.second})
 		}
 	}
-	minCount := int(cfg.MinSupport*float64(len(training)) + 0.5)
+	minCount := int(minSupport*float64(len(training)) + 0.5)
 	if minCount < 1 {
 		minCount = 1
 	}
@@ -190,8 +176,8 @@ func Extract(event string, training []*flows.Flow, cfg Config) (Signature, bool)
 		}
 		return cands[i].firstLo < cands[j].firstLo
 	})
-	if len(cands) > cfg.MaxPairs {
-		cands = cands[:cfg.MaxPairs]
+	if len(cands) > maxPairs {
+		cands = cands[:maxPairs]
 	}
 	// Order retained pairs by their mean position so matching follows the
 	// flow's request/reply sequence.
@@ -200,10 +186,10 @@ func Extract(event string, training []*flows.Flow, cfg Config) (Signature, bool)
 	for _, c := range cands {
 		sig.Pairs = append(sig.Pairs, Pair{
 			Kind:     c.kind,
-			FirstLo:  c.firstLo - cfg.Tolerance,
-			FirstHi:  c.firstHi + cfg.Tolerance,
-			SecondLo: c.secondLo - cfg.Tolerance,
-			SecondHi: c.secondHi + cfg.Tolerance,
+			FirstLo:  c.firstLo,
+			FirstHi:  c.firstHi,
+			SecondLo: c.secondLo,
+			SecondHi: c.secondHi,
 		})
 	}
 	return sig, true
@@ -238,7 +224,7 @@ type Classifier struct {
 // Train extracts signatures for every event in the labeled training set.
 // Events without a viable signature are silently unmatchable, exactly as
 // in PingPong's evaluation.
-func Train(byEvent map[string][]*flows.Flow, cfg Config) *Classifier {
+func Train(byEvent map[string][]*flows.Flow) *Classifier {
 	events := make([]string, 0, len(byEvent))
 	for e := range byEvent {
 		events = append(events, e)
@@ -246,7 +232,7 @@ func Train(byEvent map[string][]*flows.Flow, cfg Config) *Classifier {
 	sort.Strings(events)
 	c := &Classifier{}
 	for _, e := range events {
-		if sig, ok := Extract(e, byEvent[e], cfg); ok {
+		if sig, ok := Extract(e, byEvent[e]); ok {
 			c.sigs = append(c.sigs, sig)
 		}
 	}

@@ -49,7 +49,7 @@ func TestExtractFindsSignature(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		training = append(training, eventFlow(rng, [][2]int{{556, 1293}}, 3))
 	}
-	sig, ok := Extract("plug:on", training, Config{})
+	sig, ok := Extract("plug:on", training)
 	if !ok {
 		t.Fatal("no signature extracted")
 	}
@@ -63,7 +63,7 @@ func TestExtractFindsSignature(t *testing.T) {
 }
 
 func TestExtractEmptyTraining(t *testing.T) {
-	if _, ok := Extract("x", nil, Config{}); ok {
+	if _, ok := Extract("x", nil); ok {
 		t.Error("empty training should not produce a signature")
 	}
 }
@@ -75,14 +75,14 @@ func TestExtractNoStablePairs(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		training = append(training, eventFlow(rng, [][2]int{{1000 + i*17, 2000 + i*13}}, 0))
 	}
-	if _, ok := Extract("x", training, Config{MinSupport: 0.75}); ok {
+	if _, ok := Extract("x", training); ok {
 		t.Error("unstable lengths should not produce a signature")
 	}
 }
 
 func TestClassifierAccuracyOnSeparableEvents(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	c := Train(trainingSet(rng), Config{})
+	c := Train(trainingSet(rng))
 	if len(c.sigs) != 3 {
 		t.Fatalf("signatures = %d, want 3", len(c.sigs))
 	}
@@ -121,7 +121,7 @@ func TestClassifierConfusedByOverlappingVariableEvents(t *testing.T) {
 		training["bulb:on"] = append(training["bulb:on"],
 			eventFlow(rng, [][2]int{{315 + rng.Intn(40), 915 + rng.Intn(40)}}, 0))
 	}
-	c := Train(training, Config{})
+	c := Train(training)
 	wrong := 0
 	const trials = 60
 	for i := 0; i < trials; i++ {
@@ -142,7 +142,7 @@ func TestMatchRequiresOrder(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		training = append(training, eventFlow(rng, [][2]int{{100, 200}, {300, 400}}, 0))
 	}
-	sig, ok := Extract("seq", training, Config{})
+	sig, ok := Extract("seq", training)
 	if !ok || len(sig.Pairs) < 2 {
 		t.Skipf("signature pairs = %d", len(sig.Pairs))
 	}
@@ -156,20 +156,24 @@ func TestMatchRequiresOrder(t *testing.T) {
 	}
 }
 
-func TestToleranceWidensMatching(t *testing.T) {
+// TestSignatureRangesAreExact pins range-based matching without slack:
+// a signature pair spans exactly the lengths its training cluster
+// observed, so a flow 5 bytes off a constant-length exchange misses.
+func TestSignatureRangesAreExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	var training []*flows.Flow
 	for i := 0; i < 20; i++ {
 		training = append(training, eventFlow(rng, [][2]int{{500, 800}}, 0))
 	}
-	strict, _ := Extract("e", training, Config{Tolerance: 0})
-	loose, _ := Extract("e", training, Config{Tolerance: 8})
-	probe := eventFlow(rng, [][2]int{{505, 805}}, 0)
-	if strict.Matches(probe) {
-		t.Error("strict signature should not match +5 bytes")
+	sig, ok := Extract("e", training)
+	if !ok {
+		t.Fatal("no signature extracted")
 	}
-	if !loose.Matches(probe) {
-		t.Error("tolerant signature should match +5 bytes")
+	if !sig.Matches(eventFlow(rng, [][2]int{{500, 800}}, 0)) {
+		t.Error("signature should match the trained lengths")
+	}
+	if sig.Matches(eventFlow(rng, [][2]int{{505, 805}}, 0)) {
+		t.Error("signature should not match +5 bytes")
 	}
 }
 
@@ -180,7 +184,7 @@ func TestClassifyPrefersLongerSignature(t *testing.T) {
 		training["short"] = append(training["short"], eventFlow(rng, [][2]int{{100, 200}}, 0))
 		training["long"] = append(training["long"], eventFlow(rng, [][2]int{{100, 200}, {300, 400}}, 0))
 	}
-	c := Train(training, Config{})
+	c := Train(training)
 	f := eventFlow(rng, [][2]int{{100, 200}, {300, 400}}, 0)
 	got, ok := c.Classify(f)
 	if !ok || got != "long" {
@@ -190,7 +194,7 @@ func TestClassifyPrefersLongerSignature(t *testing.T) {
 
 func TestClassifyNoMatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	c := Train(trainingSet(rng), Config{})
+	c := Train(trainingSet(rng))
 	f := eventFlow(rng, [][2]int{{9999, 8888}}, 0)
 	if got, ok := c.Classify(f); ok {
 		t.Errorf("unexpected match %q", got)
@@ -199,7 +203,7 @@ func TestClassifyNoMatch(t *testing.T) {
 
 func BenchmarkClassify(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	c := Train(trainingSet(rng), Config{})
+	c := Train(trainingSet(rng))
 	f := eventFlow(rng, [][2]int{{556, 1293}, {237, 826}}, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -171,7 +171,7 @@ func TestGatesMatchBruteForceRescan(t *testing.T) {
 // TestDrainGateTracksEarliestPendingEnd pins the drain gate on the case
 // the random streams rarely produce: a burst held after one that ends
 // later. The gate must follow the smaller End, or the earlier burst
-// would sit in pending past its FlushAfter.
+// would sit in pending past its flushAfter.
 func TestDrainGateTracksEarliestPendingEnd(t *testing.T) {
 	f := getFixture(t)
 	idle := datasets.Idle(f.tb, 1, datasets.DefaultStart, 1, f.devices[:1], 0)
@@ -183,7 +183,7 @@ func TestDrainGateTracksEarliestPendingEnd(t *testing.T) {
 	late, early, later := idle[0], idle[1], idle[2]
 	late.End, early.End, later.End = base.Add(10*time.Second), base, base.Add(20*time.Second)
 	m.hold([]*flows.Flow{late, early})
-	m.clock = base.Add(m.cfg.FlushAfter)
+	m.clock = base.Add(flushAfter)
 	m.drain(false)
 	if m.stats.Flows != 1 || len(m.pending) != 1 || m.pending[0] != late {
 		t.Fatalf("after first drain: flows=%d pending=%d, want the early burst classified and the late one held",
@@ -192,7 +192,7 @@ func TestDrainGateTracksEarliestPendingEnd(t *testing.T) {
 	// The surviving burst now defines the gate, including for bursts
 	// held after it.
 	m.hold([]*flows.Flow{later})
-	m.clock = base.Add(10*time.Second + m.cfg.FlushAfter)
+	m.clock = base.Add(10*time.Second + flushAfter)
 	m.drain(false)
 	if m.stats.Flows != 2 || len(m.pending) != 1 || m.pending[0] != later {
 		t.Fatalf("after second drain: flows=%d pending=%d, want only the latest burst held", m.stats.Flows, len(m.pending))

@@ -26,17 +26,18 @@ type Event = core.Event
 // Deviation re-exports the pipeline deviation for subscribers.
 type Deviation = core.Deviation
 
+// flushAfter closes a flow burst that has been quiet this long; it must
+// exceed the assembler's burst gap (flows.DefaultBurstGap), so late
+// packets cannot reopen a burst once it is classified.
+const flushAfter = 5 * time.Second
+
+// silenceFactor raises a periodic silent-group deviation when a modeled
+// group has been quiet for silenceFactor × period: the paper's T0 = 5T
+// threshold.
+const silenceFactor = 5
+
 // Config tunes the online monitor.
 type Config struct {
-	// FlushAfter closes a flow burst that has been quiet this long
-	// (default 5 s; must exceed the assembler's burst gap).
-	FlushAfter time.Duration
-	// SilenceFactor triggers a periodic silent-group deviation when a
-	// modeled group has been quiet for SilenceFactor × period
-	// (default 5, the paper's T0 = 5T threshold).
-	SilenceFactor float64
-	// TraceGap separates user-event traces (default 1 min).
-	TraceGap time.Duration
 	// MaxSkew, when positive, drops packets whose timestamp lags
 	// stream time by more than this (counted in Stats.LateDropped):
 	// a guard against clock-skewed or badly reordered captures
@@ -55,19 +56,6 @@ type Config struct {
 	OnDeviation func(Deviation)
 }
 
-func (c Config) withDefaults() Config {
-	if c.FlushAfter <= 0 {
-		c.FlushAfter = 5 * time.Second
-	}
-	if c.SilenceFactor <= 0 {
-		c.SilenceFactor = 5
-	}
-	if c.TraceGap <= 0 {
-		c.TraceGap = time.Minute
-	}
-	return c
-}
-
 // Monitor consumes a packet stream and emits events and deviations.
 type Monitor struct {
 	cfg       Config
@@ -78,7 +66,7 @@ type Monitor struct {
 	// Pending flows not yet old enough to flush. minPendingEnd is the
 	// smallest End among them (meaningless while pending is empty): a
 	// closed burst's End never changes, so until stream time passes
-	// minPendingEnd+FlushAfter no pending flow can be due and drain
+	// minPendingEnd+flushAfter no pending flow can be due and drain
 	// skips its walk.
 	pending       []*flows.Flow
 	minPendingEnd time.Time
@@ -139,7 +127,7 @@ type Stats struct {
 // goroutines, may therefore share one pipeline that nothing else writes.
 func NewMonitor(pipe *core.Pipeline, acfg flows.Config, cfg Config) *Monitor {
 	return &Monitor{
-		cfg:       cfg.withDefaults(),
+		cfg:       cfg,
 		pipe:      pipe.Fork(),
 		assembler: flows.NewAssembler(acfg),
 		lastSeen:  map[flows.GroupKey]time.Time{},
@@ -165,7 +153,7 @@ func (m *Monitor) Feed(p *netparse.Packet) {
 	}
 	m.assembler.Add(p)
 	// Collect bursts whose burst gap has passed; hold them until
-	// FlushAfter so late packets cannot reopen them.
+	// flushAfter so late packets cannot reopen them.
 	m.hold(m.assembler.FlushClosed(m.clock))
 	m.drain(false)
 	m.checkSilence()
@@ -233,17 +221,17 @@ func (m *Monitor) hold(fs []*flows.Flow) {
 	}
 }
 
-// drain classifies pending flows older than FlushAfter (or all of them
+// drain classifies pending flows older than flushAfter (or all of them
 // when force is set), in pending order. The walk is skipped while even
 // the oldest pending flow is too young, which is every packet but the
 // few on which something is actually due.
 func (m *Monitor) drain(force bool) {
-	if len(m.pending) == 0 || (!force && m.clock.Sub(m.minPendingEnd) < m.cfg.FlushAfter) {
+	if len(m.pending) == 0 || (!force && m.clock.Sub(m.minPendingEnd) < flushAfter) {
 		return
 	}
 	keep := m.pending[:0]
 	for _, f := range m.pending {
-		if !force && m.clock.Sub(f.End) < m.cfg.FlushAfter {
+		if !force && m.clock.Sub(f.End) < flushAfter {
 			if len(keep) == 0 || f.End.Before(m.minPendingEnd) {
 				m.minPendingEnd = f.End
 			}
@@ -267,7 +255,7 @@ func (m *Monitor) classify(f *flows.Flow) {
 		// Periodic-event deviation on arrival.
 		if prev, ok := m.lastSeen[key]; ok && model != nil {
 			score := core.PeriodicDeviationMetric(e.Time.Sub(prev).Seconds(), model.Period)
-			if score > m.threshold() {
+			if score > m.pipe.PeriodicThreshold() {
 				m.emitDeviation(core.Deviation{
 					Kind: core.DevPeriodic, Time: e.Time, Score: score,
 					Device: e.Device, Detail: model.String(),
@@ -281,7 +269,7 @@ func (m *Monitor) classify(f *flows.Flow) {
 		// than the new one. An unknown bound (zero, not idle) stays
 		// unknown: the next check rescans anyway.
 		if model != nil && model.Period > 0 {
-			deadline := m.silenceDeadline(e.Time, model.Period)
+			deadline := silenceDeadline(e.Time, model.Period)
 			if m.silenceIdle || (!m.nextSilence.IsZero() && deadline.Before(m.nextSilence)) {
 				m.nextSilence = deadline
 			}
@@ -297,7 +285,7 @@ func (m *Monitor) classify(f *flows.Flow) {
 		m.cfg.OnEvent(e)
 	}
 	// A quiet gap after the last user event closes the trace.
-	if len(m.trace) > 0 && m.clock.Sub(m.lastUser) > m.cfg.TraceGap {
+	if len(m.trace) > 0 && m.clock.Sub(m.lastUser) > m.pipe.TraceGap {
 		m.closeTrace()
 	}
 	if m.cfg.RecycleFlows {
@@ -305,17 +293,12 @@ func (m *Monitor) classify(f *flows.Flow) {
 	}
 }
 
-func (m *Monitor) threshold() float64 {
-	if m.pipe.Baseline != nil {
-		return m.pipe.Baseline.PeriodicThreshold
-	}
-	return core.DefaultPeriodicThreshold
-}
-
 // extendTrace appends a user event to the open trace, closing the
-// previous trace when the gap is exceeded.
+// previous trace when the gap is exceeded. The gap is the one the
+// pipeline was trained with, so the monitor cuts traces exactly where
+// Pipeline.EventTraces does.
 func (m *Monitor) extendTrace(e core.Event) {
-	if len(m.trace) > 0 && e.Time.Sub(m.lastUser) > m.cfg.TraceGap {
+	if len(m.trace) > 0 && e.Time.Sub(m.lastUser) > m.pipe.TraceGap {
 		m.closeTrace()
 	}
 	if len(m.trace) == 0 {
@@ -342,7 +325,7 @@ func (m *Monitor) closeTrace() {
 }
 
 // checkSilence raises count-up-timer alarms for modeled groups that have
-// gone quiet (T0 > SilenceFactor × period). Fired alarms are sorted
+// gone quiet (T0 > silenceFactor × period). Fired alarms are sorted
 // before emission: the scan walks a map, and emission order must not
 // depend on the per-process hash seed (deviation logs are diffed in
 // restore-equivalence tests and snapshot bytes include the counter).
@@ -371,7 +354,7 @@ func (m *Monitor) checkSilence() {
 			continue
 		}
 		elapsed := m.clock.Sub(last).Seconds()
-		if elapsed > m.cfg.SilenceFactor*model.Period {
+		if elapsed > silenceFactor*model.Period {
 			m.silenced[key] = true
 			fired = append(fired, core.Deviation{
 				Kind:   core.DevPeriodic,
@@ -382,7 +365,7 @@ func (m *Monitor) checkSilence() {
 			})
 			continue
 		}
-		deadline := last.Add(time.Duration(m.cfg.SilenceFactor * model.Period * float64(time.Second)))
+		deadline := silenceDeadline(last, model.Period)
 		if next.IsZero() || deadline.Before(next) {
 			next = deadline
 		}
@@ -405,8 +388,8 @@ func (m *Monitor) checkSilence() {
 // silenceDeadline is the gate's view of when a group last seen at last
 // can first alarm. It truncates toward zero, so it is never later than
 // the float threshold checkSilence compares elapsed time against.
-func (m *Monitor) silenceDeadline(last time.Time, period float64) time.Time {
-	return last.Add(time.Duration(m.cfg.SilenceFactor * period * float64(time.Second)))
+func silenceDeadline(last time.Time, period float64) time.Time {
+	return last.Add(time.Duration(silenceFactor * period * float64(time.Second)))
 }
 
 func (m *Monitor) emitDeviation(d core.Deviation) {

@@ -143,6 +143,48 @@ func TestStreamDetectsUserEventsAndTraces(t *testing.T) {
 	}
 }
 
+// TestStreamTraceGapFollowsPipeline pins that the monitor cuts
+// user-event traces at the gap the pipeline was trained with, as
+// Pipeline.EventTraces does: with a 30 s gap, two user events 45 s
+// apart are two traces.
+func TestStreamTraceGapFollowsPipeline(t *testing.T) {
+	f := getFixture(t)
+	pipe := f.pipe.Fork()
+	pipe.TraceGap = 30 * time.Second
+	pipe.Periodic.Reset()
+	var userEvents []Event
+	m := NewMonitor(pipe, f.monitorConfig(), Config{
+		OnEvent: func(e Event) {
+			if e.Class == core.EventUser {
+				userEvents = append(userEvents, e)
+			}
+		},
+	})
+
+	g := testbed.NewGenerator(f.tb, 6)
+	plug := f.tb.Device("TPLink Plug")
+	at := datasets.DefaultStart.Add(4*24*time.Hour + time.Hour)
+	for _, p := range testbed.MergePackets(
+		g.BootstrapDNS(plug, at.Add(-time.Minute)),
+		g.Activity(plug, plug.Activity("on"), at, 0),
+		g.Activity(plug, plug.Activity("off"), at.Add(45*time.Second), 1),
+	) {
+		m.Feed(p)
+	}
+	m.Close()
+
+	if len(userEvents) != 2 {
+		t.Fatalf("user events = %d, want 2", len(userEvents))
+	}
+	want := len(pipe.EventTraces(userEvents))
+	if want != 2 {
+		t.Fatalf("EventTraces gives %d traces, want 2", want)
+	}
+	if got := m.Stats().Traces; got != int64(want) {
+		t.Errorf("monitor closed %d traces, EventTraces gives %d", got, want)
+	}
+}
+
 func TestStreamSilenceAlarm(t *testing.T) {
 	f := getFixture(t)
 	var devs []Deviation
