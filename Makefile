@@ -58,18 +58,22 @@ bench-json:
 		$(GO) run ./cmd/benchjson -out BENCH_$(BENCH_DATE).json
 
 ## bench-ratchet: run the checkpoint-bytes benchmark at a fixed
-## iteration count (it writes real store generations to disk) and
-## ratchet its ckptB/op against the committed BENCH_baseline.json. The
-## payloads are deterministic, so the metric is a constant on every
-## machine and the comparison is exact: one byte of delta-chain growth
-## fails, as would an allocs/op increase or the benchmark vanishing.
+## iteration count (it writes real store generations to disk) and the
+## period detector's with -benchmem, and ratchet both against the
+## committed BENCH_baseline.json: ckptB/op for the first, allocs/op for
+## the second (one reused dsp.Detector; only what every call allocates
+## is left). Both metrics are constants on every machine and the
+## comparison is exact: one byte of delta-chain growth fails, as would
+## an allocs/op increase or a benchmark vanishing.
 ## The fresh report lands in BENCH_ratchet.json for CI to archive.
 ## After a deliberate change, re-baseline with:
 ## cp BENCH_ratchet.json BENCH_baseline.json
 BENCH_CKPT_ITERS ?= 64
 bench-ratchet:
-	$(GO) test -run '^$$' -bench '^BenchmarkCheckpointBytes$$' \
-		-benchtime=$(BENCH_CKPT_ITERS)x ./internal/modelstore/ | \
+	{ $(GO) test -run '^$$' -bench '^BenchmarkCheckpointBytes$$' \
+		-benchtime=$(BENCH_CKPT_ITERS)x ./internal/modelstore/; \
+	  $(GO) test -run '^$$' -bench '^BenchmarkDetectPeriods$$' -benchmem \
+		-benchtime=20x ./internal/dsp/; } | \
 		$(GO) run ./cmd/benchjson -out BENCH_ratchet.json -compare BENCH_baseline.json
 
 ## bench-e2e: smoke-run the end-to-end load rig (bench/, the repo's

@@ -3,6 +3,7 @@ package chaos
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -286,12 +287,39 @@ func TestParseConfigRoundTrip(t *testing.T) {
 	if c, err := ParseConfig(""); err != nil || c != (Config{}) {
 		t.Errorf("empty spec: cfg=%+v err=%v", c, err)
 	}
+}
+
+// TestParseConfigRejects checks ParseConfig refuses garbage, and refuses
+// a spec made only of modifiers with an error that names them: such a
+// spec configures no operator and would render as "none".
+func TestParseConfigRejects(t *testing.T) {
 	for _, bad := range []string{
 		"drop=2", "drop=-0.1", "drop=NaN", "nonsense=1", "drop", "window=0", "skew=fast",
 		"drift=NaN", "drift=Inf", "drift=-Inf", "drift=-1e6", "drift=-2e6",
 	} {
 		if _, err := ParseConfig(bad); err == nil {
 			t.Errorf("ParseConfig(%q) accepted garbage", bad)
+		}
+	}
+	for spec, key := range map[string]string{
+		"window=4":                  "window",
+		"burstlen=8":                "burstlen",
+		"corruptbytes=4":            "corruptbytes",
+		"reorder=0,window=4":        "window",
+		"burst=0,burstlen=8,drop=0": "burstlen",
+		"window=4,corruptbytes=2":   "window, corruptbytes",
+		"skew=0s,corruptbytes=4":    "corruptbytes",
+	} {
+		_, err := ParseConfig(spec)
+		if err == nil || !strings.Contains(err.Error(), key) {
+			t.Errorf("ParseConfig(%q) = %v; want an error naming %s", spec, err, key)
+		}
+	}
+	// A modifier next to an operator still parses, and so does a spec
+	// whose every value is the identity.
+	for _, ok := range []string{"reorder=0.1,window=4", "drop=0.1,burstlen=8", "drop=0", "skew=0s"} {
+		if _, err := ParseConfig(ok); err != nil {
+			t.Errorf("ParseConfig(%q): %v", ok, err)
 		}
 	}
 }

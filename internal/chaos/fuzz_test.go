@@ -6,9 +6,10 @@ import (
 )
 
 // FuzzParseConfig checks the -impair spec parser on arbitrary input: it
-// never panics; an accepted spec renders "none" exactly when it yields
-// no operators; otherwise its rendering parses back to the same
-// rendering; and accepted drift is finite and above -1e6 PPM.
+// never panics; an accepted spec either sets at least one operator or
+// is the empty Config; it renders "none" exactly when it yields no
+// operators; otherwise its rendering parses back to the same rendering;
+// and accepted drift is finite and above -1e6 PPM.
 func FuzzParseConfig(f *testing.F) {
 	for _, seed := range []string{
 		"", "none", "drop=0.01,dup=0.005,reorder=0.02,window=4,skew=50ms,drift=200",
@@ -24,6 +25,9 @@ func FuzzParseConfig(f *testing.F) {
 		}
 		if math.IsNaN(cfg.DriftPPM) || math.IsInf(cfg.DriftPPM, 0) || cfg.DriftPPM <= -1e6 {
 			t.Fatalf("ParseConfig(%q) accepted drift %v", spec, cfg.DriftPPM)
+		}
+		if len(cfg.Ops()) == 0 && cfg != (Config{}) {
+			t.Fatalf("ParseConfig(%q) = %+v: sets no operator, yet is not the empty Config", spec, cfg)
 		}
 		rendered := cfg.String()
 		if none := rendered == "none"; none != (len(cfg.Ops()) == 0) {

@@ -18,13 +18,17 @@ import (
 // Rates are probabilities in [0,1], skew is a Go duration (may be
 // negative), drift is a finite parts-per-million value above -1e6 (at
 // -1e6 the clock stops, below it runs backwards). Unknown keys and
-// out-of-range values are errors; an empty spec is the identity Config.
+// out-of-range values are errors, and so is a spec whose modifiers
+// (window, burstlen, corruptbytes) have no operator to modify: it would
+// impair nothing while looking as if it did. An empty spec is the
+// identity Config.
 func ParseConfig(s string) (Config, error) {
 	var cfg Config
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return cfg, nil
 	}
+	var modifiers []string
 	for _, part := range strings.Split(s, ",") {
 		key, val, ok := strings.Cut(strings.TrimSpace(part), "=")
 		if !ok {
@@ -57,6 +61,7 @@ func ParseConfig(s string) (Config, error) {
 			if err != nil || n < 1 {
 				return cfg, fmt.Errorf("chaos: %s %q is not a positive integer", key, val)
 			}
+			modifiers = append(modifiers, key)
 			switch key {
 			case "window":
 				cfg.ReorderWindow = n
@@ -83,6 +88,10 @@ func ParseConfig(s string) (Config, error) {
 		default:
 			return cfg, fmt.Errorf("chaos: unknown impairment key %q", key)
 		}
+	}
+	if len(cfg.Ops()) == 0 && cfg != (Config{}) {
+		return cfg, fmt.Errorf("chaos: %s modifies no impairment: spec %q sets no drop, dup, reorder, truncate, corrupt, burst, skew or drift",
+			strings.Join(modifiers, ", "), s)
 	}
 	return cfg, nil
 }

@@ -11,6 +11,7 @@ import (
 	"behaviot/internal/dsp"
 	"behaviot/internal/features"
 	"behaviot/internal/flows"
+	"behaviot/internal/parallel"
 )
 
 // PeriodicModel captures the periodic behavior of one traffic group
@@ -66,63 +67,87 @@ func DefaultPeriodicConfig() PeriodicConfig {
 
 // InferPeriodicModels mines periodic models from (idle) training flows,
 // returning one model per traffic group that exhibits validated
-// periodicity, plus the set of group keys that did not.
+// periodicity, plus the set of group keys that did not. The groups are
+// independent, so they are mined on one lane per CPU: lane l takes the
+// sorted keys l, l+lanes, … and reuses one dsp.Detector across them. Each
+// group's model is a function of its flows alone, so the result is the
+// same for every CPU count.
 func InferPeriodicModels(training []*flows.Flow, cfg PeriodicConfig) (map[flows.GroupKey]*PeriodicModel, []flows.GroupKey) {
 	groups := flows.GroupByKey(training)
+	keys := sortedGroupKeys(groups)
+	found := make([]*PeriodicModel, len(keys))
+	lanes := min(parallel.Resolve(0), len(keys))
+	lane := make([]int, lanes)
+	for l := range lane {
+		lane[l] = l
+	}
+	parallel.Map(lanes, lane, func(_ int, l int) struct{} {
+		var det dsp.Detector
+		for i := l; i < len(keys); i += lanes {
+			found[i] = inferPeriodicModel(&det, keys[i], groups[keys[i]], cfg)
+		}
+		return struct{}{}
+	})
 	models := make(map[flows.GroupKey]*PeriodicModel)
 	var aperiodic []flows.GroupKey
-	for key, fs := range groups {
-		ts := make([]float64, len(fs))
-		for i, f := range fs {
-			ts[i] = float64(f.Start.UnixNano()) / 1e9
-		}
-		results := dsp.DetectPeriods(ts, cfg.Detector)
-		if len(results) == 0 {
+	for i, key := range keys {
+		if found[i] == nil {
 			aperiodic = append(aperiodic, key)
 			continue
 		}
-		m := &PeriodicModel{
-			Key:        key,
-			Period:     results[0].Period,
-			ACF:        results[0].ACF,
-			AllPeriods: results,
-			FlowCount:  len(fs),
-		}
-		// Train the DBSCAN fallback on the group's normalized features.
-		// Large groups are spread-subsampled: periodic traffic is highly
-		// regular, so a few hundred samples describe the clusters, and
-		// DBSCAN's O(n²) fit would otherwise dominate training time.
-		sample := fs
-		const maxClusterTraining = 400
-		if len(sample) > maxClusterTraining {
-			step := len(sample) / maxClusterTraining
-			sub := make([]*flows.Flow, 0, maxClusterTraining+1)
-			for i := 0; i < len(sample); i += step {
-				sub = append(sub, sample[i])
-			}
-			sample = sub
-		}
-		vecs := make([][]float64, len(sample))
-		for i, f := range sample {
-			vecs[i] = features.Extract(f)
-		}
-		m.norm = features.FitNormalizer(vecs)
-		normed := m.norm.ApplyAll(vecs)
-		// The neighborhood radius adapts to the group: in d standardized
-		// dimensions, same-cluster points sit ≈ √(2·d_effective) apart,
-		// so a fixed Eps would misbehave across groups with different
-		// intrinsic jitter. Use a multiple of the median nearest-neighbor
-		// distance, floored by the configured minimum.
-		eps := adaptiveEps(normed, cfg.ClusterEps)
-		m.cluster = dbscan.Train(normed, dbscan.Config{
-			Eps: eps, MinPts: cfg.ClusterMinPts,
-		})
-		models[key] = m
+		models[key] = found[i]
 	}
-	sort.Slice(aperiodic, func(i, j int) bool {
-		return groupKeyLess(aperiodic[i], aperiodic[j])
-	})
 	return models, aperiodic
+}
+
+// inferPeriodicModel mines one traffic group with det and returns its
+// model, or nil if the group is aperiodic.
+func inferPeriodicModel(det *dsp.Detector, key flows.GroupKey, fs []*flows.Flow, cfg PeriodicConfig) *PeriodicModel {
+	ts := make([]float64, len(fs))
+	for i, f := range fs {
+		ts[i] = float64(f.Start.UnixNano()) / 1e9
+	}
+	results := det.Detect(ts, cfg.Detector)
+	if len(results) == 0 {
+		return nil
+	}
+	m := &PeriodicModel{
+		Key:        key,
+		Period:     results[0].Period,
+		ACF:        results[0].ACF,
+		AllPeriods: results,
+		FlowCount:  len(fs),
+	}
+	// Train the DBSCAN fallback on the group's normalized features.
+	// Large groups are spread-subsampled: periodic traffic is highly
+	// regular, so a few hundred samples describe the clusters, and
+	// DBSCAN's O(n²) fit would otherwise dominate training time.
+	sample := fs
+	const maxClusterTraining = 400
+	if len(sample) > maxClusterTraining {
+		step := len(sample) / maxClusterTraining
+		sub := make([]*flows.Flow, 0, maxClusterTraining+1)
+		for i := 0; i < len(sample); i += step {
+			sub = append(sub, sample[i])
+		}
+		sample = sub
+	}
+	vecs := make([][]float64, len(sample))
+	for i, f := range sample {
+		vecs[i] = features.Extract(f)
+	}
+	m.norm = features.FitNormalizer(vecs)
+	normed := m.norm.ApplyAll(vecs)
+	// The neighborhood radius adapts to the group: in d standardized
+	// dimensions, same-cluster points sit ≈ √(2·d_effective) apart,
+	// so a fixed Eps would misbehave across groups with different
+	// intrinsic jitter. Use a multiple of the median nearest-neighbor
+	// distance, floored by the configured minimum.
+	eps := adaptiveEps(normed, cfg.ClusterEps)
+	m.cluster = dbscan.Train(normed, dbscan.Config{
+		Eps: eps, MinPts: cfg.ClusterMinPts,
+	})
+	return m
 }
 
 // adaptiveEps returns 3× the median nearest-neighbor distance of the

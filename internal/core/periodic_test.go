@@ -1,11 +1,17 @@
 package core
 
 import (
+	"bytes"
+	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
+	"behaviot/internal/datasets"
 	"behaviot/internal/flows"
 	"behaviot/internal/netparse"
+	"behaviot/internal/testbed"
 )
 
 // mkPeriodicFlows builds n synthetic bursts for one traffic group with the
@@ -52,6 +58,46 @@ func TestInferPeriodicModelsBasic(t *testing.T) {
 		}
 		if m.String() == "" {
 			t.Error("empty model string")
+		}
+	}
+}
+
+// TestInferPeriodicModelsLaneInvariant trains the idle fixture (a day
+// of the TPLink plug and the Gosund bulb, the recipe behaviotd's model
+// pin uses) on 1, 2 and 5 lanes: the models must serialize to the same
+// bytes and the aperiodic groups must be the same list. The fixture's
+// groups are all periodic, so two aperiodic ones are added: one too
+// short to mine and one of randomly timed flows.
+func TestInferPeriodicModelsLaneInvariant(t *testing.T) {
+	tb := testbed.New()
+	devices := []*testbed.DeviceProfile{tb.Device("TPLink Plug"), tb.Device("Gosund Bulb")}
+	idle := datasets.Idle(tb, 1, datasets.DefaultStart, 1, devices, 0)
+	idle = append(idle, mkPeriodicFlows("Dev", "short.example.com", 60, 3)...)
+	rng := rand.New(rand.NewSource(3))
+	for _, f := range mkPeriodicFlows("Dev", "random.example.com", 1, 200) {
+		f.Start = f.Start.Add(time.Duration(rng.Int63n(int64(24 * time.Hour))))
+		idle = append(idle, f)
+	}
+	cfg := DefaultPeriodicConfig()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var wantSnap []byte
+	var wantAperiodic []flows.GroupKey
+	for _, procs := range []int{1, 2, 5} {
+		runtime.GOMAXPROCS(procs)
+		models, aperiodic := InferPeriodicModels(idle, cfg)
+		snap := MarshalPipeline(&Pipeline{Periodic: NewPeriodicClassifier(models, cfg)})
+		if procs == 1 {
+			if len(models) == 0 || len(aperiodic) == 0 {
+				t.Fatalf("fixture mined %d periodic and %d aperiodic groups; want some of each", len(models), len(aperiodic))
+			}
+			wantSnap, wantAperiodic = snap, aperiodic
+			continue
+		}
+		if !bytes.Equal(snap, wantSnap) {
+			t.Errorf("GOMAXPROCS %d: models serialize to %d bytes that differ from the one-lane %d", procs, len(snap), len(wantSnap))
+		}
+		if !slices.Equal(aperiodic, wantAperiodic) {
+			t.Errorf("GOMAXPROCS %d: aperiodic %v, one lane %v", procs, aperiodic, wantAperiodic)
 		}
 	}
 }

@@ -10,27 +10,54 @@ import (
 	"math/cmplx"
 )
 
-// FFT computes the discrete Fourier transform of x. The input length need
-// not be a power of two: non-power-of-two inputs are transformed with the
-// Bluestein chirp-z algorithm, which internally uses a power-of-two FFT.
-// The input slice is not modified.
-func FFT(x []complex128) []complex128 {
+// grow returns s resized to n elements, reusing its backing array when
+// it is large enough. The contents are stale: callers overwrite them.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// spectrum returns the periodogram |X_k|^2 / n for k = 0..n/2 of a real
+// signal (only the non-redundant half, including DC at index 0), in a
+// buffer the next call reuses.
+func (d *Detector) spectrum(x []float64) []float64 {
 	n := len(x)
 	if n == 0 {
 		return nil
 	}
-	if n&(n-1) == 0 {
-		out := append([]complex128(nil), x...)
-		radix2(out, false)
-		return out
+	spec := d.transform(x)
+	d.spec = grow(d.spec, n/2+1)
+	for k := range d.spec {
+		m := cmplx.Abs(spec[k])
+		d.spec[k] = m * m / float64(n)
 	}
-	return bluestein(x)
+	return d.spec
 }
 
-// radix2 performs an in-place iterative Cooley-Tukey FFT.
-// len(x) must be a power of two. If inverse is true the conjugate
-// transform is computed (without normalization).
-func radix2(x []complex128, inverse bool) {
+// transform returns the discrete Fourier transform of the real signal x,
+// all len(x) bins, in a buffer the next call reuses. The length need not
+// be a power of two: other lengths are transformed with the Bluestein
+// chirp-z algorithm, which internally uses a power-of-two FFT.
+func (d *Detector) transform(x []float64) []complex128 {
+	n := len(x)
+	if n&(n-1) != 0 {
+		return d.bluestein(x)
+	}
+	d.a = grow(d.a, n)
+	for i, v := range x {
+		d.a[i] = complex(v, 0)
+	}
+	d.radix2(d.a)
+	return d.a
+}
+
+// radix2 performs an in-place iterative Cooley-Tukey FFT. len(x) must be
+// a power of two. The inverse transform is conj(radix2(conj(x))): IEEE
+// rounding is symmetric under negation, so that equals, bit for bit, a
+// butterfly pass over conjugated twiddles.
+func (d *Detector) radix2(x []complex128) {
 	n := len(x)
 	if n <= 1 {
 		return
@@ -46,86 +73,103 @@ func radix2(x []complex128, inverse bool) {
 			x[i], x[j] = x[j], x[i]
 		}
 	}
-	for length := 2; length <= n; length <<= 1 {
-		ang := 2 * math.Pi / float64(length)
-		if !inverse {
-			ang = -ang
-		}
-		wl := cmplx.Exp(complex(0, ang))
+	tw := d.twiddles(n / 2)
+	for length := 2; length < n; length <<= 1 {
+		half := length / 2
+		stage := tw[half-1 : length-1]
 		for i := 0; i < n; i += length {
-			w := complex(1, 0)
-			half := length / 2
-			for j := 0; j < half; j++ {
-				u := x[i+j]
-				v := x[i+j+half] * w
-				x[i+j] = u + v
-				x[i+j+half] = u - v
-				w *= wl
+			lo, hi := x[i:i+half], x[i+half:i+length]
+			for j, w := range stage {
+				u := lo[j]
+				v := hi[j] * w
+				lo[j] = u + v
+				hi[j] = u - v
 			}
 		}
 	}
+	// The last stage is a single block, so each of its twiddles is used
+	// once: they come straight from the recurrence instead of a table as
+	// large as every other stage's together.
+	half := n / 2
+	wl := twiddleStep(n)
+	w := complex(1, 0)
+	for j := 0; j < half; j++ {
+		u := x[j]
+		v := x[j+half] * w
+		x[j] = u + v
+		x[j+half] = u - v
+		w *= wl
+	}
 }
 
-// bluestein computes an arbitrary-length DFT via the chirp-z transform.
-func bluestein(x []complex128) []complex128 {
+// twiddleStep is the factor exp(-2πi/length) between successive
+// twiddles of a radix-2 stage.
+func twiddleStep(length int) complex128 {
+	return cmplx.Exp(complex(0, -(2 * math.Pi / float64(length))))
+}
+
+// twiddles returns the twiddle table for the stages of length up to n:
+// the stage of length L reads its L/2 factors at [L/2-1, L-1). Each
+// stage is built by the recurrence w *= twiddleStep(L) from w = 1, so a
+// table entry equals, bit for bit, the factor that recurrence reaches in
+// every block. Stages never change once built; the table only grows.
+func (d *Detector) twiddles(n int) []complex128 {
+	if len(d.twiddle)+1 >= n {
+		return d.twiddle
+	}
+	if cap(d.twiddle) < n-1 {
+		d.twiddle = append(make([]complex128, 0, n-1), d.twiddle...)
+	}
+	for half := len(d.twiddle) + 1; half < n; half <<= 1 {
+		wl := twiddleStep(2 * half)
+		w := complex(1, 0)
+		for j := 0; j < half; j++ {
+			d.twiddle = append(d.twiddle, w)
+			w *= wl
+		}
+	}
+	return d.twiddle
+}
+
+// chirp is Bluestein's factor w[k] = exp(-i * pi * k^2 / n).
+func chirp(k, n int) complex128 {
+	// k^2 mod 2n avoids precision loss for large k.
+	k2 := (int64(k) * int64(k)) % int64(2*n)
+	return cmplx.Exp(complex(0, -math.Pi*float64(k2)/float64(n)))
+}
+
+// bluestein computes an arbitrary-length DFT of the real signal x via the
+// chirp-z transform and returns it in d.a[:len(x)]. The chirp is
+// computed twice rather than kept: a transform of a day of 1 s bins
+// would hold 1.4 MB more per Detector.
+func (d *Detector) bluestein(x []float64) []complex128 {
 	n := len(x)
 	m := 1
 	for m < 2*n-1 {
 		m <<= 1
 	}
-	// Chirp factors w[k] = exp(-i * pi * k^2 / n).
-	w := make([]complex128, n)
+	d.a, d.b = grow(d.a, m), grow(d.b, m)
+	a, b := d.a, d.b
 	for k := 0; k < n; k++ {
-		// k^2 mod 2n avoids precision loss for large k.
-		k2 := (int64(k) * int64(k)) % int64(2*n)
-		w[k] = cmplx.Exp(complex(0, -math.Pi*float64(k2)/float64(n)))
+		w := chirp(k, n)
+		a[k] = complex(x[k], 0) * w
+		b[k] = cmplx.Conj(w)
 	}
-	a := make([]complex128, m)
-	b := make([]complex128, m)
-	for k := 0; k < n; k++ {
-		a[k] = x[k] * w[k]
-		b[k] = cmplx.Conj(w[k])
-	}
+	clear(a[n:])
+	clear(b[n : m-n+1])
 	for k := 1; k < n; k++ {
-		b[m-k] = cmplx.Conj(w[k])
+		b[m-k] = b[k]
 	}
-	radix2(a, false)
-	radix2(b, false)
+	d.radix2(a)
+	d.radix2(b)
+	// Convolve, then invert as conj(forward(conj(·))).
 	for i := range a {
-		a[i] *= b[i]
+		a[i] = cmplx.Conj(a[i] * b[i])
 	}
-	radix2(a, true)
+	d.radix2(a)
 	scale := complex(1/float64(m), 0)
-	out := make([]complex128, n)
 	for k := 0; k < n; k++ {
-		out[k] = a[k] * scale * w[k]
+		a[k] = cmplx.Conj(a[k]) * scale * chirp(k, n)
 	}
-	return out
-}
-
-// FFTReal transforms a real-valued signal, returning the full complex
-// spectrum of the same length.
-func FFTReal(x []float64) []complex128 {
-	cx := make([]complex128, len(x))
-	for i, v := range x {
-		cx[i] = complex(v, 0)
-	}
-	return FFT(cx)
-}
-
-// PowerSpectrum returns the periodogram |X_k|^2 / n for k = 0..n/2 of a
-// real signal (only the non-redundant half, including DC at index 0).
-func PowerSpectrum(x []float64) []float64 {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	spec := FFTReal(x)
-	half := n/2 + 1
-	out := make([]float64, half)
-	for k := 0; k < half; k++ {
-		m := cmplx.Abs(spec[k])
-		out[k] = m * m / float64(n)
-	}
-	return out
+	return a[:n]
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -35,58 +36,74 @@ func complexClose(a, b []complex128, eps float64) bool {
 	return true
 }
 
+// naiveReal is naiveDFT of a real signal.
+func naiveReal(x []float64) []complex128 {
+	cx := make([]complex128, len(x))
+	for i, v := range x {
+		cx[i] = complex(v, 0)
+	}
+	return naiveDFT(cx)
+}
+
 func TestFFTMatchesNaive(t *testing.T) {
+	// One Detector across every length, longest first in places, so
+	// stale buffer tails and a grown twiddle table are exercised too.
 	rng := rand.New(rand.NewSource(42))
-	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 12, 16, 17, 31, 32, 33, 64, 100} {
-		x := make([]complex128, n)
+	var d Detector
+	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 12, 100, 16, 17, 31, 32, 64, 33} {
+		x := make([]float64, n)
 		for i := range x {
-			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+			x[i] = rng.NormFloat64()
 		}
-		got := FFT(x)
-		want := naiveDFT(x)
-		if !complexClose(got, want, 1e-8*float64(n)) {
+		if got, want := d.transform(x), naiveReal(x); !complexClose(got, want, 1e-8*float64(n)) {
 			t.Errorf("n=%d: FFT does not match naive DFT", n)
 		}
 	}
 }
 
 func TestFFTEmptyAndSingle(t *testing.T) {
-	if FFT(nil) != nil {
-		t.Error("FFT(nil) should be nil")
+	var d Detector
+	if d.spectrum(nil) != nil {
+		t.Error("spectrum(nil) should be nil")
 	}
-	out := FFT([]complex128{complex(3, 1)})
-	if len(out) != 1 || cmplx.Abs(out[0]-complex(3, 1)) > 1e-12 {
+	out := d.transform([]float64{3})
+	if len(out) != 1 || cmplx.Abs(out[0]-3) > 1e-12 {
 		t.Errorf("FFT of singleton = %v", out)
 	}
 }
 
 func TestFFTDoesNotMutateInput(t *testing.T) {
-	x := []complex128{1, 2, 3, 4}
-	FFT(x)
+	var d Detector
+	x := []float64{1, 2, 3, 4}
+	d.transform(x)
 	if x[0] != 1 || x[3] != 4 {
 		t.Error("FFT mutated its input")
 	}
-	y := []complex128{1, 2, 3} // Bluestein path
-	FFT(y)
+	y := []float64{1, 2, 3} // Bluestein path
+	d.transform(y)
 	if y[0] != 1 || y[2] != 3 {
 		t.Error("FFT (Bluestein) mutated its input")
 	}
 }
 
 func TestIFFTRoundTrip(t *testing.T) {
-	// Bluestein's convolution runs the inverse radix-2 transform, which
-	// must undo the forward one up to the 1/n scale it leaves out.
+	// Bluestein's convolution inverts as conj(radix2(conj(·))), which
+	// must undo the forward transform up to the 1/n scale it leaves out.
 	rng := rand.New(rand.NewSource(7))
+	var d Detector
 	for _, n := range []int{1, 2, 8, 64, 128} {
 		x := make([]complex128, n)
 		for i := range x {
 			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
 		back := append([]complex128(nil), x...)
-		radix2(back, false)
-		radix2(back, true)
+		d.radix2(back)
 		for i := range back {
-			back[i] /= complex(float64(n), 0)
+			back[i] = cmplx.Conj(back[i])
+		}
+		d.radix2(back)
+		for i := range back {
+			back[i] = cmplx.Conj(back[i]) / complex(float64(n), 0)
 		}
 		if !complexClose(back, x, 1e-8*float64(n)) {
 			t.Errorf("n=%d: inverse(forward(x))/n != x", n)
@@ -95,13 +112,14 @@ func TestIFFTRoundTrip(t *testing.T) {
 }
 
 func TestFFTLinearityProperty(t *testing.T) {
+	var d Detector
 	f := func(re1, re2 [8]float64, scale float64) bool {
 		if math.IsNaN(scale) || math.IsInf(scale, 0) || math.Abs(scale) > 1e6 {
 			return true
 		}
-		a := make([]complex128, 8)
-		b := make([]complex128, 8)
-		sum := make([]complex128, 8)
+		a := make([]float64, 8)
+		b := make([]float64, 8)
+		sum := make([]float64, 8)
 		for i := 0; i < 8; i++ {
 			r1 := math.Mod(re1[i], 1e3)
 			r2 := math.Mod(re2[i], 1e3)
@@ -111,11 +129,13 @@ func TestFFTLinearityProperty(t *testing.T) {
 			if math.IsNaN(r2) {
 				r2 = 0
 			}
-			a[i] = complex(r1, 0)
-			b[i] = complex(r2, 0)
-			sum[i] = a[i] + complex(scale, 0)*b[i]
+			a[i] = r1
+			b[i] = r2
+			sum[i] = a[i] + scale*b[i]
 		}
-		fa, fb, fs := FFT(a), FFT(b), FFT(sum)
+		fa := slices.Clone(d.transform(a))
+		fb := slices.Clone(d.transform(b))
+		fs := d.transform(sum)
 		for i := range fs {
 			want := fa[i] + complex(scale, 0)*fb[i]
 			tol := 1e-6 * (1 + cmplx.Abs(want))
@@ -131,23 +151,25 @@ func TestFFTLinearityProperty(t *testing.T) {
 }
 
 func TestParsevalProperty(t *testing.T) {
-	// Energy in time domain equals energy in frequency domain / n.
+	// Energy in time domain equals energy in frequency domain / n, on
+	// the Bluestein path (n = 100) and the power-of-two one (n = 128).
 	rng := rand.New(rand.NewSource(99))
-	x := make([]complex128, 128)
-	var timeEnergy float64
-	for i := range x {
-		v := rng.NormFloat64()
-		x[i] = complex(v, 0)
-		timeEnergy += v * v
-	}
-	spec := FFT(x)
-	var freqEnergy float64
-	for _, s := range spec {
-		freqEnergy += real(s)*real(s) + imag(s)*imag(s)
-	}
-	freqEnergy /= float64(len(x))
-	if math.Abs(timeEnergy-freqEnergy) > 1e-6*timeEnergy {
-		t.Errorf("Parseval violated: time=%v freq=%v", timeEnergy, freqEnergy)
+	var d Detector
+	for _, n := range []int{100, 128} {
+		x := make([]float64, n)
+		var timeEnergy float64
+		for i := range x {
+			x[i] = rng.NormFloat64()
+			timeEnergy += x[i] * x[i]
+		}
+		var freqEnergy float64
+		for _, s := range d.transform(x) {
+			freqEnergy += real(s)*real(s) + imag(s)*imag(s)
+		}
+		freqEnergy /= float64(n)
+		if math.Abs(timeEnergy-freqEnergy) > 1e-6*timeEnergy {
+			t.Errorf("n=%d: Parseval violated: time=%v freq=%v", n, timeEnergy, freqEnergy)
+		}
 	}
 }
 
@@ -159,7 +181,8 @@ func TestPowerSpectrumSinusoid(t *testing.T) {
 	for i := range x {
 		x[i] = math.Sin(2 * math.Pi * float64(k) * float64(i) / float64(n))
 	}
-	spec := PowerSpectrum(x)
+	var d Detector
+	spec := d.spectrum(x)
 	best := 0
 	for i := 1; i < len(spec); i++ {
 		if spec[i] > spec[best] {
@@ -169,9 +192,13 @@ func TestPowerSpectrumSinusoid(t *testing.T) {
 	if best != k {
 		t.Errorf("dominant bin = %d, want %d", best, k)
 	}
-	if PowerSpectrum(nil) != nil {
-		t.Error("PowerSpectrum(nil) should be nil")
-	}
+}
+
+// acfOf centres x unsmoothed and scores it at lag, as Detect does for a
+// width-1 candidate.
+func acfOf(x []float64, lag int) float64 {
+	var d Detector
+	return acf(d.centred, d.centre(x, 1), lag)
 }
 
 func TestAutocorrelationPeriodicSignal(t *testing.T) {
@@ -181,10 +208,10 @@ func TestAutocorrelationPeriodicSignal(t *testing.T) {
 	for i := 0; i < n; i += 10 {
 		x[i] = 1
 	}
-	if r := acfAtLag(x, 10); r < 0.9 {
+	if r := acfOf(x, 10); r < 0.9 {
 		t.Errorf("ACF[10] = %v, want ~1 for period-10 signal", r)
 	}
-	if r := acfAtLag(x, 5); r > 0.3 {
+	if r := acfOf(x, 5); r > 0.3 {
 		t.Errorf("ACF[5] = %v, should be low off-period", r)
 	}
 }
@@ -192,7 +219,7 @@ func TestAutocorrelationPeriodicSignal(t *testing.T) {
 func TestAutocorrelationConstantSignal(t *testing.T) {
 	x := []float64{5, 5, 5, 5, 5}
 	for lag := 1; lag < len(x); lag++ {
-		if v := acfAtLag(x, lag); v != 0 {
+		if v := acfOf(x, lag); v != 0 {
 			t.Errorf("ACF[%d] = %v for constant signal, want 0", lag, v)
 		}
 	}
@@ -200,41 +227,48 @@ func TestAutocorrelationConstantSignal(t *testing.T) {
 
 func TestAutocorrelationEdgeCases(t *testing.T) {
 	// Lags outside [1, n) carry no signal and score 0.
-	if acfAtLag(nil, 5) != 0 {
+	if acf(nil, 1, 5) != 0 {
 		t.Error("nil input should give 0")
 	}
-	if acfAtLag([]float64{1, 2, 3}, 0) != 0 || acfAtLag([]float64{1, 2, 3}, -1) != 0 {
+	if acfOf([]float64{1, 2, 3}, 0) != 0 || acfOf([]float64{1, 2, 3}, -1) != 0 {
 		t.Error("non-positive lag should give 0")
 	}
-	if acfAtLag([]float64{1, 2, 3}, 3) != 0 {
+	if acfOf([]float64{1, 2, 3}, 3) != 0 {
 		t.Error("lag >= n should give 0")
 	}
 }
 
 func TestAutocorrelationMatchesDirect(t *testing.T) {
-	// Validate the single-lag ACF against the textbook definition.
+	// Validate the single-lag ACF against the textbook definition, on a
+	// raw signal (width 1) and a box-smoothed one.
 	rng := rand.New(rand.NewSource(5))
 	x := make([]float64, 100)
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	mean := 0.0
-	for _, v := range x {
-		mean += v
-	}
-	mean /= float64(len(x))
-	var denom float64
-	for _, v := range x {
-		denom += (v - mean) * (v - mean)
-	}
-	for lag := 1; lag <= 20; lag++ {
-		var num float64
-		for i := 0; i+lag < len(x); i++ {
-			num += (x[i] - mean) * (x[i+lag] - mean)
+	var d Detector
+	for _, width := range []int{1, 5} {
+		s := make([]float64, len(x))
+		boxSmooth(s, x, width)
+		mean := 0.0
+		for _, v := range s {
+			mean += v
 		}
-		want := num / denom
-		if got := acfAtLag(x, lag); math.Abs(got-want) > 1e-9 {
-			t.Errorf("lag %d: got %v want %v", lag, got, want)
+		mean /= float64(len(s))
+		var denom float64
+		for _, v := range s {
+			denom += (v - mean) * (v - mean)
+		}
+		c := d.centre(x, width)
+		for lag := 1; lag <= 20; lag++ {
+			var num float64
+			for i := 0; i+lag < len(s); i++ {
+				num += (s[i] - mean) * (s[i+lag] - mean)
+			}
+			want := num / denom
+			if got := acf(d.centred, c, lag); math.Abs(got-want) > 1e-9 {
+				t.Errorf("width %d lag %d: got %v want %v", width, lag, got, want)
+			}
 		}
 	}
 }

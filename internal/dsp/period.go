@@ -2,6 +2,7 @@ package dsp
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"behaviot/internal/floatcmp"
@@ -53,18 +54,40 @@ func DefaultDetectorConfig() DetectorConfig {
 	}
 }
 
-// DetectPeriods implements the paper's unsupervised periodicity test on a
-// point process: the event timestamps (seconds, sorted or not) are binned
-// into a regular signal, candidate periods are extracted from frequency
-// bins with significant spectral power, and each candidate is validated by
-// its autocorrelation score. Validated periods are returned sorted by
-// descending autocorrelation score. An empty result means the sequence is
-// aperiodic.
-func DetectPeriods(timestamps []float64, cfg DetectorConfig) []PeriodResult {
+// Detector runs the paper's unsupervised periodicity test (see Detect)
+// over buffers it keeps between calls, so mining many traffic groups
+// allocates little beyond the results. The zero value is ready to use. A
+// Detector is not safe for concurrent use: give each goroutine its own.
+type Detector struct {
+	ts      []float64      // sorted copy of the timestamps
+	signal  []float64      // event counts per bin
+	centred []float64      // box-smoothed signal minus its mean
+	a, b    []complex128   // Bluestein's operands; a holds every transform's output
+	twiddle []complex128   // radix-2 twiddles, see twiddles
+	spec    []float64      // periodogram
+	cands   []candidate    // spectral candidates
+	seen    []int          // lags already validated
+	found   []PeriodResult // validated periods before harmonic filtering
+}
+
+type candidate struct {
+	lag   int
+	power float64
+}
+
+// Detect implements the paper's unsupervised periodicity test on a point
+// process: the event timestamps (seconds, sorted or not) are binned into
+// a regular signal, candidate periods are extracted from frequency bins
+// with significant spectral power, and each candidate is validated by its
+// autocorrelation score. Validated periods are returned sorted by
+// descending autocorrelation score, in a slice the caller owns. An empty
+// result means the sequence is aperiodic. timestamps is not modified.
+func (d *Detector) Detect(timestamps []float64, cfg DetectorConfig) []PeriodResult {
 	if len(timestamps) < cfg.MinEvents {
 		return nil
 	}
-	ts := append([]float64(nil), timestamps...)
+	d.ts = append(d.ts[:0], timestamps...)
+	ts := d.ts
 	sort.Float64s(ts)
 	span := ts[len(ts)-1] - ts[0]
 	if span <= 0 {
@@ -81,7 +104,9 @@ func DetectPeriods(timestamps []float64, cfg DetectorConfig) []PeriodResult {
 		bin = span / maxBins
 	}
 	n := int(span/bin) + 1
-	signal := make([]float64, n)
+	d.signal = grow(d.signal, n)
+	signal := d.signal
+	clear(signal)
 	for _, t := range ts {
 		idx := int((t - ts[0]) / bin)
 		if idx >= n {
@@ -91,7 +116,7 @@ func DetectPeriods(timestamps []float64, cfg DetectorConfig) []PeriodResult {
 	}
 
 	// Stage 1: spectral candidates.
-	spec := PowerSpectrum(signal)
+	spec := d.spectrum(signal)
 	if len(spec) < 3 {
 		return nil
 	}
@@ -104,17 +129,13 @@ func DetectPeriods(timestamps []float64, cfg DetectorConfig) []PeriodResult {
 	mean /= float64(len(body))
 	var ss float64
 	for _, p := range body {
-		d := p - mean
-		ss += d * d
+		e := p - mean
+		ss += e * e
 	}
 	std := math.Sqrt(ss / float64(len(body)))
 	thresh := mean + cfg.PowerSigma*std
 
-	type candidate struct {
-		lag   int
-		power float64
-	}
-	var cands []candidate
+	cands := d.cands[:0]
 	sigLen := float64(len(signal))
 	for k := 1; k < len(spec); k++ {
 		if spec[k] <= thresh {
@@ -130,6 +151,7 @@ func DetectPeriods(timestamps []float64, cfg DetectorConfig) []PeriodResult {
 		}
 		cands = append(cands, candidate{lag: lag, power: spec[k]})
 	}
+	d.cands = cands
 	if len(cands) == 0 {
 		return nil
 	}
@@ -147,20 +169,16 @@ func DetectPeriods(timestamps []float64, cfg DetectorConfig) []PeriodResult {
 	// neighboring bins and dilutes the exact-lag autocorrelation. Before
 	// validating a candidate lag we therefore smooth the signal with a box
 	// filter whose width is proportional to the candidate period, then
-	// look for a local ACF peak within ±10% of the lag.
-	smoothed := map[int][]float64{} // box width -> smoothed signal
-	var out []PeriodResult
-	seen := make(map[int]bool)
+	// look for a local ACF peak within ±10% of the lag. The smoothed,
+	// centred signal is rebuilt only when the width changes.
+	out := d.found[:0]
+	d.seen = d.seen[:0]
+	width, denom := 0, 0.0
 	for _, c := range cands {
-		width := c.lag / 10
-		if width < 1 {
-			width = 1
+		if w := max(c.lag/10, 1); w != width {
+			width, denom = w, d.centre(signal, w)
 		}
-		sig, ok := smoothed[width]
-		if !ok {
-			sig = boxSmooth(signal, width)
-			smoothed[width] = sig
-		}
+		sig := d.centred
 		lo := c.lag - c.lag/10 - 1
 		hi := c.lag + c.lag/10 + 1
 		if lo < 1 {
@@ -169,8 +187,8 @@ func DetectPeriods(timestamps []float64, cfg DetectorConfig) []PeriodResult {
 		if hi > len(sig)-1 {
 			hi = len(sig) - 1
 		}
-		// Each acfAtLag is O(n); sample the refinement window at ~25
-		// points rather than every lag (the smoothed ACF is flat at that
+		// Each acf is O(n); sample the refinement window at ~25 points
+		// rather than every lag (the smoothed ACF is flat at that
 		// granularity, and large lags would otherwise cost O(n·lag/5)).
 		step := (hi - lo) / 25
 		if step < 1 {
@@ -178,21 +196,22 @@ func DetectPeriods(timestamps []float64, cfg DetectorConfig) []PeriodResult {
 		}
 		best, bestScore := c.lag, math.Inf(-1)
 		for l := lo; l <= hi; l += step {
-			if r := acfAtLag(sig, l); r > bestScore {
+			if r := acf(sig, denom, l); r > bestScore {
 				bestScore = r
 				best = l
 			}
 		}
-		if bestScore < cfg.ACFThreshold || seen[best] {
+		if bestScore < cfg.ACFThreshold || slices.Contains(d.seen, best) {
 			continue
 		}
-		seen[best] = true
+		d.seen = append(d.seen, best)
 		out = append(out, PeriodResult{
 			Period: float64(best) * bin,
 			Power:  c.power / math.Max(mean, 1e-12),
 			ACF:    bestScore,
 		})
 	}
+	d.found = out
 	sort.Slice(out, func(i, j int) bool { return out[i].ACF > out[j].ACF })
 	// Drop harmonics: a period that is an integer multiple of a stronger
 	// detected period carries no independent information.
@@ -215,22 +234,47 @@ func DetectPeriods(timestamps []float64, cfg DetectorConfig) []PeriodResult {
 	if cfg.MaxPeriods > 0 && len(out) > cfg.MaxPeriods {
 		out = out[:cfg.MaxPeriods]
 	}
-	return out
+	if len(out) == 0 {
+		return nil
+	}
+	return slices.Clone(out)
 }
 
-// boxSmooth convolves x with a centered box filter of the given width
-// (clamped to odd sizes, minimum 1). Width 1 returns x unchanged.
-func boxSmooth(x []float64, width int) []float64 {
+// centre writes the box-smoothed x, minus its mean, into d.centred and
+// returns its sum of squares: the autocorrelation denominator at every
+// lag.
+func (d *Detector) centre(x []float64, width int) float64 {
+	d.centred = grow(d.centred, len(x))
+	c := d.centred
+	boxSmooth(c, x, width)
+	var mean float64
+	for _, v := range c {
+		mean += v
+	}
+	mean /= float64(len(c))
+	var denom float64
+	for i, v := range c {
+		v -= mean
+		c[i] = v
+		denom += v * v
+	}
+	return denom
+}
+
+// boxSmooth writes into dst (len(x) long) x convolved with a centered
+// box filter of the given width (clamped to odd sizes, minimum 1). Width
+// 1 copies x.
+func boxSmooth(dst, x []float64, width int) {
 	if width <= 1 {
-		return x
+		copy(dst, x)
+		return
 	}
 	if width%2 == 0 {
 		width++
 	}
 	half := width / 2
-	out := make([]float64, len(x))
 	var sum float64
-	// Sliding-window sum.
+	// Sliding-window sum; every position of dst is written.
 	for i := 0; i < len(x); i++ {
 		sum += x[i]
 		if i-width >= 0 {
@@ -238,7 +282,7 @@ func boxSmooth(x []float64, width int) []float64 {
 		}
 		center := i - half
 		if center >= 0 {
-			out[center] = sum
+			dst[center] = sum
 		}
 	}
 	// Tail positions keep partial sums (edge effect is negligible for the
@@ -253,41 +297,31 @@ func boxSmooth(x []float64, width int) []float64 {
 				s += x[j]
 			}
 		}
-		out[center] = s
+		dst[center] = s
 	}
-	return out
 }
 
-// acfAtLag computes the normalized autocorrelation of x at a single lag
-// in O(n) without allocating.
-func acfAtLag(x []float64, lag int) float64 {
-	n := len(x)
-	if lag <= 0 || lag >= n {
+// acf returns the normalized, linear (non-circular) autocorrelation at
+// lag of a centred signal c whose sum of squares is denom: the sum of
+// c[i]·c[i+lag] over i in order, divided by denom. Lags outside
+// [1, len(c)) and a zero denom score 0.
+func acf(c []float64, denom float64, lag int) float64 {
+	n := len(c)
+	if lag <= 0 || lag >= n || floatcmp.IsZero(denom) {
 		return 0
 	}
-	var mean float64
-	for _, v := range x {
-		mean += v
-	}
-	mean /= float64(n)
-	var num, denom float64
-	for i := 0; i < n; i++ {
-		d := x[i] - mean
-		denom += d * d
-		if i+lag < n {
-			num += d * (x[i+lag] - mean)
-		}
-	}
-	if floatcmp.IsZero(denom) {
-		return 0
+	x, y := c[:n-lag], c[lag:]
+	var num float64
+	for i, v := range x {
+		num += v * y[i]
 	}
 	return num / denom
 }
 
 // IsPeriodic reports whether a timestamp sequence exhibits any validated
 // periodicity, along with the dominant period (by autocorrelation score).
-func IsPeriodic(timestamps []float64, cfg DetectorConfig) (bool, float64) {
-	res := DetectPeriods(timestamps, cfg)
+func (d *Detector) IsPeriodic(timestamps []float64, cfg DetectorConfig) (bool, float64) {
+	res := d.Detect(timestamps, cfg)
 	if len(res) == 0 {
 		return false, 0
 	}

@@ -25,6 +25,7 @@ func Periodicity(seed int64, n int) *PeriodicityResult {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	cfg := dsp.DefaultDetectorConfig()
+	var det dsp.Detector
 	res := &PeriodicityResult{N: n}
 	for i := 0; i < n; i++ {
 		period := 5 + rng.Float64()*595
@@ -33,18 +34,18 @@ func Periodicity(seed int64, n int) *PeriodicityResult {
 		for x := 0.0; x < span; x += period {
 			ts = append(ts, x+(rng.Float64()*2-1)*0.02*period)
 		}
-		if ok, p := dsp.IsPeriodic(ts, cfg); ok && math.Abs(p-period)/period < 0.2 {
+		if ok, p := det.IsPeriodic(ts, cfg); ok && math.Abs(p-period)/period < 0.2 {
 			res.PeriodicOK++
 		}
 		perm := make([]float64, len(ts))
 		for j := range perm {
 			perm[j] = rng.Float64() * span
 		}
-		if ok, _ := dsp.IsPeriodic(perm, cfg); !ok {
+		if ok, _ := det.IsPeriodic(perm, cfg); !ok {
 			res.AperiodicOK++
 		}
 		noisy := append(append([]float64(nil), ts...), perm[:len(perm)/4]...)
-		if ok, p := dsp.IsPeriodic(noisy, cfg); ok && math.Abs(p-period)/period < 0.2 {
+		if ok, p := det.IsPeriodic(noisy, cfg); ok && math.Abs(p-period)/period < 0.2 {
 			res.NoisyOK++
 		}
 	}
