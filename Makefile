@@ -5,7 +5,7 @@ GO ?= go
 
 .PHONY: all build test race vet lint fmt-check check clean \
 	bench bench-json bench-ratchet bench-e2e loc experiments-quick \
-	experiments-expectations experiments-train fuzz-smoke \
+	experiments-expectations fuzz-smoke \
 	fleet-soak fault-soak crash-soak-fleet
 
 # Date stamp for benchmark artifacts (UTC, override with BENCH_DATE=).
@@ -98,20 +98,10 @@ loc:
 ## experiments-quick: regenerate every table and figure at reduced scale
 ## with deterministic stdout (timings go to stderr; the recipe is
 ## silenced so `make experiments-quick > out.txt` captures only the
-## tables, which is exactly what the CI diff job does). Pass
-## EXP_FLAGS="-store $(EXP_STORE)" to load the models saved by
-## experiments-train instead of retraining — stdout is byte-identical
-## either way, and the experiment groups run ~6x faster (12.6s -> 2.1s
-## measured at quick scale).
+## tables, which is exactly what the CI diff job does). Training the
+## quick-scale lab is part of the run (a few seconds).
 experiments-quick:
-	@$(GO) run ./cmd/experiments -run all -quick $(EXP_FLAGS)
-
-## experiments-train: the train-once half of train-once/load-many —
-## train the quick-scale models and save them (checksummed, crash-safe)
-## into EXP_STORE for every later run to load
-EXP_STORE ?= .expstore
-experiments-train:
-	$(GO) run ./cmd/experiments -quick -run train -store $(EXP_STORE)
+	@$(GO) run ./cmd/experiments -run all -quick
 
 ## experiments-expectations: refresh the checked-in reduced-scale
 ## expectations that CI diffs against

@@ -81,7 +81,7 @@ func runHome(o options) int {
 		fingerprint += "|impair=" + impair.String()
 	}
 	if o.replay != "" {
-		// Preflight before a ~10s training run so an unreadable capture
+		// Preflight before a ~3s training run so an unreadable capture
 		// is an immediate startup error, not a mid-feed surprise.
 		if err := preflightPcap(o.replay); err != nil {
 			return fail(err)

@@ -58,6 +58,7 @@ import (
 	"os"
 	"time"
 
+	"behaviot/internal/backoff"
 	"behaviot/internal/faultfs"
 	"behaviot/internal/fleet"
 	"behaviot/internal/flows"
@@ -112,7 +113,7 @@ func run() int {
 	flag.DurationVar(&o.ckptIvl, "checkpoint-interval", 30*time.Second, "how often to checkpoint each home's streaming state into -store")
 	flag.IntVar(&o.fullEvery, "store-full-every", 1, "differential checkpoints: write a full snapshot every N generations and deltas in between (1 = every checkpoint is full)")
 	storeFlt := flag.String("store-fault", "", "inject filesystem faults into -store checkpoint writes (internal/faultfs spec, e.g. failwrite=1,tear=3,path=.delta,match=1); fault soaks only")
-	verifyF := flag.Bool("verify-store", false, "verify the -store directory (its model/ and tenants/<id>/ stores, or one flat store): validate every generation's delta chain, print a report, exit nonzero if any newest chain is broken")
+	verifyF := flag.Bool("verify-store", false, "verify the -store directory (its model/ and tenants/<id>/ stores): validate every generation's delta chain, print a report, exit nonzero if any newest chain is broken")
 	flag.BoolVar(&o.resume, "resume", false, "resume from the newest intact -store checkpoint (both shapes): restore each home's streaming state and fast-forward the feed to the checkpointed record; training runs only when -store's model/ has no generation for the training inputs")
 	flag.StringVar(&o.eventLog, "eventlog", "", "append one JSON line per user event and deviation to this file (truncated to the last checkpoint on -resume)")
 
@@ -225,17 +226,17 @@ func preflightPcap(path string) error {
 	return nil
 }
 
-// openWithRetry opens a file with exponential backoff: transient
-// filesystem hiccups (NFS gateway storage, log rotation races) get
-// three more chances before the caller gives up.
+// openWithRetry opens a file, pacing retries with the shared backoff
+// policy from 100ms: transient filesystem hiccups (NFS gateway storage,
+// log rotation races) get three more chances before the caller gives up.
 func openWithRetry(path string) (*os.File, error) {
-	backoff := 100 * time.Millisecond
+	pace := backoff.Policy{Base: 100 * time.Millisecond}
 	var lastErr error
 	for attempt := 0; attempt < 4; attempt++ {
 		if attempt > 0 {
-			log.Printf("open %s failed (%v), retrying in %s", path, lastErr, backoff)
-			time.Sleep(backoff)
-			backoff *= 2
+			d := pace.Delay(attempt, backoff.Seed(path))
+			log.Printf("open %s failed (%v), retrying in %s", path, lastErr, d)
+			time.Sleep(d)
 		}
 		f, err := os.Open(path)
 		if err == nil {

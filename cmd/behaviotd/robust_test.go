@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
+	"io/fs"
 	"log"
 	"net/http"
 	"net/http/httptest"
@@ -236,6 +238,48 @@ func TestPreflightPcapRejectsUnreadable(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), bad) {
 		t.Errorf("preflight error %q does not name the offending file", err)
+	}
+}
+
+// logHook is a log writer that hands every line logged through it to
+// the func.
+type logHook func(line []byte)
+
+func (h logHook) Write(p []byte) (int, error) { h(p); return len(p), nil }
+
+// TestOpenWithRetry pins the open retry: a file that appears while the
+// first retry waits is opened, and a path that never appears returns
+// the os error after the last of four attempts (three paced waits).
+func TestOpenWithRetry(t *testing.T) {
+	defer log.SetOutput(os.Stderr)
+
+	late := filepath.Join(t.TempDir(), "late.pcap")
+	waits := 0
+	log.SetOutput(logHook(func([]byte) {
+		// Logged just before the first wait: the file lands during it.
+		if waits++; waits == 1 {
+			if err := os.WriteFile(late, []byte("late"), 0o644); err != nil {
+				t.Error(err)
+			}
+		}
+	}))
+	f, err := openWithRetry(late)
+	if err != nil {
+		t.Fatalf("openWithRetry(%s) after it appeared: %v", late, err)
+	}
+	f.Close()
+	if waits != 1 {
+		t.Errorf("opened after %d waits, want 1", waits)
+	}
+
+	missing := filepath.Join(t.TempDir(), "nope.pcap")
+	waits = 0
+	log.SetOutput(logHook(func([]byte) { waits++ }))
+	if _, err := openWithRetry(missing); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("openWithRetry(%s) = %v, want the os not-exist error", missing, err)
+	}
+	if waits != 3 {
+		t.Errorf("gave up after %d waits, want 3", waits)
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 
 // runVerifyStore implements -verify-store: walk every store under the
 // -store path (a daemon root with tenants/<id>/ namespaces and the
-// model/ store, or one flat store), validate every generation's full
-// delta chain, and print a per-generation report. The exit code is the
+// model/ store), validate every generation's full delta chain, and
+// print a per-generation report. The exit code is the
 // durability verdict: 0 when every store's newest chain materializes
 // (what a launch or -resume would load), nonzero when any newest chain
 // is broken — operators wire this into post-crash health checks before
@@ -27,7 +27,7 @@ func runVerifyStore(root string, w io.Writer) int {
 	type target struct{ label, dir string }
 	var targets []target
 	// A daemon root namespaces checkpoints under tenants/<id>/ and keeps
-	// the trained model under model/; anything else is one flat store.
+	// the trained model under model/.
 	if entries, err := os.ReadDir(filepath.Join(root, "tenants")); err == nil {
 		for _, e := range entries {
 			if e.IsDir() && modelstore.ValidTenantID(e.Name()) {
@@ -47,7 +47,8 @@ func runVerifyStore(root string, w io.Writer) int {
 		targets = append(targets, target{label: "model", dir: filepath.Join(root, modelDir)})
 	}
 	if len(targets) == 0 {
-		targets = []target{{label: "store", dir: root}}
+		fmt.Fprintf(w, "behaviotd: verify-store: %s holds no behaviotd store (no tenants/ or model/)\n", root)
+		return 1
 	}
 
 	broken := 0

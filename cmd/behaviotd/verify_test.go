@@ -64,19 +64,20 @@ func corruptNewestGen(t *testing.T, dir string) {
 	t.Fatalf("no payload file to corrupt in %s", genDir)
 }
 
-// TestVerifyStoreSingle exercises -verify-store against a single-daemon
-// store: exit 0 with a per-generation chain report while the newest
-// chain is intact, exit 1 once the newest generation is corrupted.
+// TestVerifyStoreSingle exercises -verify-store against a single-home
+// daemon root (one tenant, "home"): exit 0 with a per-generation chain
+// report while the newest chain is intact, exit 1 once the newest
+// generation is corrupted.
 func TestVerifyStoreSingle(t *testing.T) {
-	dir := t.TempDir()
-	s, err := modelstore.Open(dir, modelstore.Options{FullEvery: 3})
+	root := t.TempDir()
+	s, err := modelstore.OpenTenant(root, "home", modelstore.Options{FullEvery: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	writeVerifyChain(t, s, 5)
 
 	var buf bytes.Buffer
-	if code := runVerifyStore(dir, &buf); code != 0 {
+	if code := runVerifyStore(root, &buf); code != 0 {
 		t.Fatalf("runVerifyStore = %d on an intact store:\n%s", code, buf.String())
 	}
 	out := buf.String()
@@ -90,9 +91,9 @@ func TestVerifyStoreSingle(t *testing.T) {
 		t.Errorf("report missing the summary line:\n%s", out)
 	}
 
-	corruptNewestGen(t, dir)
+	corruptNewestGen(t, filepath.Join(root, "tenants", "home"))
 	buf.Reset()
-	if code := runVerifyStore(dir, &buf); code != 1 {
+	if code := runVerifyStore(root, &buf); code != 1 {
 		t.Fatalf("runVerifyStore = %d on a store with a broken newest chain, want 1:\n%s", code, buf.String())
 	}
 	if !strings.Contains(buf.String(), "NEWEST CHAIN BROKEN") {
@@ -183,9 +184,10 @@ func TestVerifyStoreModel(t *testing.T) {
 }
 
 // TestVerifyStoreMissingAndEmpty pins the edge cases: a missing root is
-// an error; an empty store is recoverable (nothing to lose); a fleet
-// root whose tenants/ namespace holds no valid tenant stores is an
-// error (the operator pointed -store somewhere wrong).
+// an error; an empty tenant store is recoverable (nothing to lose); a
+// root with neither tenants/ nor model/, and a fleet root whose
+// tenants/ namespace holds no valid tenant stores, are errors (the
+// operator pointed -store somewhere wrong).
 func TestVerifyStoreMissingAndEmpty(t *testing.T) {
 	var buf bytes.Buffer
 	if code := runVerifyStore(filepath.Join(t.TempDir(), "nope"), &buf); code != 1 {
@@ -193,12 +195,24 @@ func TestVerifyStoreMissingAndEmpty(t *testing.T) {
 	}
 
 	empty := t.TempDir()
+	if _, err := modelstore.OpenTenant(empty, "home", modelstore.Options{}); err != nil {
+		t.Fatal(err)
+	}
 	buf.Reset()
 	if code := runVerifyStore(empty, &buf); code != 0 {
-		t.Errorf("runVerifyStore = %d on an empty store, want 0:\n%s", code, buf.String())
+		t.Errorf("runVerifyStore = %d on an empty tenant store, want 0:\n%s", code, buf.String())
 	}
 	if !strings.Contains(buf.String(), "empty (no generations)") {
 		t.Errorf("empty-store report missing the empty verdict:\n%s", buf.String())
+	}
+
+	bare := t.TempDir()
+	buf.Reset()
+	if code := runVerifyStore(bare, &buf); code != 1 {
+		t.Errorf("runVerifyStore = %d on a root with no behaviotd store, want 1:\n%s", code, buf.String())
+	}
+	if !strings.Contains(buf.String(), "holds no behaviotd store") {
+		t.Errorf("bare-root report missing the no-store message:\n%s", buf.String())
 	}
 
 	orphan := t.TempDir()

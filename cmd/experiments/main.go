@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"behaviot/internal/experiments"
-	"behaviot/internal/modelstore"
 )
 
 func main() {
@@ -32,12 +31,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		runP    = fs.String("run", "all", "comma-separated experiments: periodicity,table2,table3,table4,table5,table9,fig3,fig4a,fig4a5fold,fig4b,fig4c,deviationcases,fig5a,fig5b,headline,ablations,impairment; or train (with -store) to train and save models without running anything")
+		runP    = fs.String("run", "all", "comma-separated experiments: periodicity,table2,table3,table4,table5,table9,fig3,fig4a,fig4a5fold,fig4b,fig4c,deviationcases,fig5a,fig5b,headline,ablations,impairment")
 		quick   = fs.Bool("quick", false, "use reduced-scale datasets")
 		days    = fs.Int("days", 87, "uncontrolled study length for fig5")
 		seed    = fs.Int64("seed", 2021, "generation seed")
 		workers = fs.Int("workers", 0, "generation/evaluation worker count (0 = all cores); results are identical for every value")
-		storeP  = fs.String("store", "", "model store directory: -run train saves trained models there; other runs load them instead of retraining (falling back to training if absent or damaged)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -78,18 +76,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "building lab (idle %dd, %d reps, routine %dd)...\n",
 				scale.IdleDays, scale.ActivityReps, scale.RoutineDays)
 			lab = experiments.NewLab(scale)
-			// Load-many half of train-once/load-many: reuse stored models
-			// unless this IS the training run. All store chatter goes to
-			// stderr; stdout stays byte-identical with a trained lab.
-			if *storeP != "" && !want["train"] {
-				if store, err := modelstore.Open(*storeP, modelstore.Options{}); err != nil {
-					fmt.Fprintf(stderr, "model store: %v; training from scratch\n", err)
-				} else if err := lab.LoadModels(store); err != nil {
-					fmt.Fprintf(stderr, "model store: %v; training from scratch\n", err)
-				} else {
-					fmt.Fprintf(stderr, "loaded trained models from %s (training skipped)\n", *storeP)
-				}
-			}
 		}
 		return lab
 	}
@@ -105,30 +91,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		emit(title, start, body())
 	}
 	ran := 0
-
-	// train is never part of "all": it is the explicit train-once step
-	// (CI runs it first, then fans the experiment groups out against the
-	// saved models).
-	if want["train"] {
-		if *storeP == "" {
-			fmt.Fprintln(stderr, "-run train requires -store; see -h")
-			return 2
-		}
-		store, err := modelstore.Open(*storeP, modelstore.Options{})
-		if err != nil {
-			fmt.Fprintf(stderr, "model store: %v\n", err)
-			return 1
-		}
-		start := time.Now()
-		gen, err := getLab().SaveModels(store)
-		if err != nil {
-			fmt.Fprintf(stderr, "saving models: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "trained and saved models to %s (generation %d) in %.1fs\n",
-			*storeP, gen, time.Since(start).Seconds())
-		ran++
-	}
 
 	if selected("periodicity") {
 		section("§5.1 periodicity", func() fmt.Stringer { return experiments.Periodicity(*seed, 100) })

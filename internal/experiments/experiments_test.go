@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"strings"
@@ -10,19 +11,13 @@ import (
 )
 
 // quickLab is shared across tests (building it trains the full
-// pipeline). quickLabModel is that pipeline's snapshot as trained,
-// taken before any test classifies with it: classifying moves the timer
-// anchors the snapshot carries.
-var (
-	quickLab      *Lab
-	quickLabModel []byte
-)
+// pipeline).
+var quickLab *Lab
 
 func getLab(t *testing.T) *Lab {
 	t.Helper()
 	if quickLab == nil {
 		quickLab = NewLab(QuickScale())
-		quickLabModel = core.MarshalPipeline(quickLab.Pipeline())
 	}
 	return quickLab
 }
@@ -30,12 +25,27 @@ func getLab(t *testing.T) *Lab {
 // TestQuickLabModelPin pins the bytes of the quick-scale lab's trained
 // pipeline, the model every quick experiment reports on. A change that
 // moves the pin updates it and says why; one that only refactors
-// training must leave it alone.
+// training must leave it alone. The pin holds whichever tests ran
+// first, because no experiment can write the lab's model.
 func TestQuickLabModelPin(t *testing.T) {
-	getLab(t)
+	model := core.MarshalPipeline(getLab(t).Pipeline())
 	const want, size = "293fc3affea3dc3d74d4f3162fca1366644b170572ffae112c755be0ad9f7e21", 3031950
-	if got := fmt.Sprintf("%x", sha256.Sum256(quickLabModel)); got != want || len(quickLabModel) != size {
-		t.Errorf("quick lab model: sha256 %s, %d bytes; want %s, %d bytes", got, len(quickLabModel), want, size)
+	if got := fmt.Sprintf("%x", sha256.Sum256(model)); got != want || len(model) != size {
+		t.Errorf("quick lab model: sha256 %s, %d bytes; want %s, %d bytes", got, len(model), want, size)
+	}
+}
+
+// TestLabModelSurvivesExperiments holds the lab read-only once trained:
+// experiments that classify (and so move periodic timer anchors) do it
+// on their own fork, and the lab's model marshals to the same bytes
+// afterwards.
+func TestLabModelSurvivesExperiments(t *testing.T) {
+	l := getLab(t)
+	before := core.MarshalPipeline(l.Pipeline())
+	Table2(l)
+	Fig5(l, 2)
+	if after := core.MarshalPipeline(l.Pipeline()); !bytes.Equal(before, after) {
+		t.Errorf("lab model changed under Table2 and Fig5: %d bytes before, %d after", len(before), len(after))
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"behaviot/internal/chaos"
-	"behaviot/internal/core"
 	"behaviot/internal/datasets"
 	"behaviot/internal/flows"
 	"behaviot/internal/netparse"
@@ -104,11 +103,12 @@ func impairmentCapture(l *Lab) ([]pcapio.Record, string, error) {
 
 // Impairment runs the sweep. Each point impairs the shared capture with
 // a point-derived sub-seed, then replays it through a fresh online
-// monitor over a cloned pipeline (fresh periodic-classifier state, the
-// shared read-only models), so points are independent and the result is
-// identical for every Workers value.
+// monitor, which forks the anchor-free pipeline (empty periodic timer
+// anchors, the shared read-only models), so points are independent and
+// the result is identical for every Workers value.
 func Impairment(l *Lab) (*ImpairmentResult, error) {
 	pipe := l.Pipeline() // materialize before the fan-out
+	pipe.Periodic.Reset()
 	recs, silenced, err := impairmentCapture(l)
 	if err != nil {
 		return nil, err
@@ -122,13 +122,8 @@ func Impairment(l *Lab) (*ImpairmentResult, error) {
 	}) ImpairmentPoint {
 		impaired := chaos.Impair(recs, chaos.SubSeed(l.Scale.Seed, "impairment", pt.label), pt.cfg)
 
-		// Clone the pipeline with fresh periodic-classifier state; every
-		// other model is read-only at classification time.
-		clone := *pipe
-		clone.Periodic = core.NewPeriodicClassifier(pipe.Periodic.Models(), core.DefaultConfig().Periodic)
-
 		detected := false
-		m := stream.NewMonitor(&clone, acfg, stream.Config{
+		m := stream.NewMonitor(pipe, acfg, stream.Config{
 			OnDeviation: func(d stream.Deviation) {
 				if d.Device == silenced {
 					detected = true

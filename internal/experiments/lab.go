@@ -167,9 +167,11 @@ func (l *Lab) Routine() *datasets.RoutineDataset {
 	return l.routine
 }
 
-// Pipeline returns the trained pipeline (device models trained on the
-// idle training split and the activity dataset; system model and
-// baselines from the routine dataset).
+// Pipeline returns a fork of the trained pipeline (device models
+// trained on the idle training split and the activity dataset; system
+// model and baselines from the routine dataset). Training runs on the
+// first call; every caller then gets its own timer anchors over the
+// shared models, so no experiment can change what the next one sees.
 func (l *Lab) Pipeline() *core.Pipeline {
 	if l.pipe == nil {
 		cfg := core.DefaultConfig()
@@ -182,7 +184,7 @@ func (l *Lab) Pipeline() *core.Pipeline {
 		pipe.Calibrate(l.traces)
 		l.pipe = pipe
 	}
-	return l.pipe
+	return l.pipe.Fork()
 }
 
 // Traces returns the system-model training traces.

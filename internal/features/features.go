@@ -7,6 +7,7 @@
 package features
 
 import (
+	"behaviot/internal/floatcmp"
 	"behaviot/internal/flows"
 	"behaviot/internal/stats"
 )
@@ -129,7 +130,7 @@ func FitNormalizer(vectors [][]float64) *Normalizer {
 		}
 		m, s := stats.MeanStd(col)
 		n.mean[d] = m
-		if stats.IsZero(s) {
+		if floatcmp.IsZero(s) {
 			s = 1 // constant feature: leave centered values at 0
 		}
 		n.std[d] = s

@@ -1,6 +1,6 @@
 // Package modelstore is a crash-safe, versioned on-disk store for trained
-// BehavIoT artifacts: pipeline snapshots, streaming monitor state, daemon
-// counters, experiment lab traces. Each Write lands a complete new
+// BehavIoT artifacts: pipeline snapshots, streaming monitor state and
+// daemon counters. Each Write lands a complete new
 // generation directory (gen-000001, gen-000002, …) via the classic
 // temp-dir + fsync + rename protocol, with a manifest written last that
 // carries the format version, a training-configuration fingerprint, and a
@@ -43,13 +43,12 @@ import (
 // schema). Generations written by a different format version are ignored.
 const FormatVersion = 1
 
-// Canonical snapshot file names used across the daemon and experiment
-// pipeline. The store itself accepts any names; these constants keep
-// writers and readers agreeing.
+// Canonical snapshot file names used across the daemon. The store
+// itself accepts any names; these constants keep writers and readers
+// agreeing.
 const (
 	FilePipeline = "pipeline.snap" // core.MarshalPipeline bytes
 	FileMonitor  = "monitor.snap"  // stream.Monitor.MarshalState bytes
-	FileTraces   = "traces.snap"   // training traces for lab reuse
 )
 
 // Generation kinds as reported by Report. In manifests a full

@@ -15,19 +15,6 @@ import (
 	"behaviot/internal/floatcmp"
 )
 
-// ApproxEqual reports whether a and b are equal within floatcmp.Eps,
-// scaled by the larger magnitude so the tolerance behaves relatively for
-// large values and absolutely near zero. It delegates to internal/floatcmp,
-// the leaf home of the comparison; packages that want to avoid the
-// stats dependency tree (e.g. internal/dsp) import floatcmp directly.
-func ApproxEqual(a, b float64) bool { return floatcmp.ApproxEqual(a, b) }
-
-// IsZero reports whether x is exactly zero, delegating to
-// internal/floatcmp. Use it for divide-by-zero guards: only exact zero
-// produces Inf/NaN, so an epsilon there would silently reject valid
-// small denominators.
-func IsZero(x float64) bool { return floatcmp.IsZero(x) }
-
 // Mean returns the arithmetic mean of xs, or 0 for empty input.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -129,7 +116,7 @@ func Skewness(xs []float64) float64 {
 	}
 	m2 /= n
 	m3 /= n
-	if IsZero(m2) {
+	if floatcmp.IsZero(m2) {
 		return 0
 	}
 	return m3 / math.Pow(m2, 1.5)
@@ -152,7 +139,7 @@ func Kurtosis(xs []float64) float64 {
 	}
 	m2 /= n
 	m4 /= n
-	if IsZero(m2) {
+	if floatcmp.IsZero(m2) {
 		return 0
 	}
 	return m4/(m2*m2) - 3
@@ -171,8 +158,8 @@ func BinomialZ(p, p0 float64, n int) float64 {
 		return 0
 	}
 	denom := math.Sqrt(p0 * (1 - p0) / float64(n))
-	if IsZero(denom) {
-		if ApproxEqual(p, p0) {
+	if floatcmp.IsZero(denom) {
+		if floatcmp.ApproxEqual(p, p0) {
 			return 0
 		}
 		return math.Inf(sign(p - p0))
